@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     Dispersion,
+    GaussianSpectrum,
     PhysicalConfig,
     ZoneError,
     momentum_window,
@@ -78,6 +79,8 @@ class WaveField:
     values: np.ndarray
     t: float
     component_tag: str
+    n_k: int | None = None      # final momentum node count of a quadrature field
+    converged: bool = True      # False when refinement stopped above its tolerance
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -165,46 +168,59 @@ def _require_region(tag: str, grid: SpatialGrid, cfg: PhysicalConfig) -> None:
                          f"{tag!r} region ({region}, L = {cfg.L:g})")
 
 
-def _kahan_accumulate(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    # compensated (Kahan) update, in place; fixed evaluation order by caller
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
+def _chirp_sum(amp: np.ndarray, k_start: float, dk: float, xs: np.ndarray, dx: float,
+               sign: float) -> np.ndarray:
+    """sum_j amp_j e^{i sign (k_start + j dk) x_l} on the uniform grid xs (spacing dx).
 
-
-def _quadrature_field(ks: np.ndarray, weights: np.ndarray, coefs: np.ndarray,
-                      spatial_k: np.ndarray, xs: np.ndarray, sign: float,
-                      phases_t: np.ndarray) -> np.ndarray:
-    """Fixed-order compensated sum over the momentum grid.
-
-    Each momentum contributes weight * coef * e^{i(phase_t)} * e^{i sign kx x};
-    summation order is the ascending momentum grid, identical for any worker
-    count.
+    Bluestein's chirp-z transform: j l = (j^2 + l^2 - (l - j)^2) / 2 makes the
+    sum a convolution with the chirp e^{-i c m^2 / 2}, c = sign dk dx, done by
+    FFT in O((n_k + n_x) log) operations.  The chirp phase c r^2 / 2 (r < n_k +
+    n_x) is of the size of a direct sum's k x; k_start x is exponentiated alone.
     """
-    total = np.zeros(xs.shape, dtype=complex)
-    comp = np.zeros(xs.shape, dtype=complex)
-    for j in range(ks.size):
-        term = (weights[j] * coefs[j] * phases_t[j]) * np.exp(1j * sign * spatial_k[j] * xs)
-        _kahan_accumulate(total, comp, term)
-    return total
+    n_k, n_x = amp.size, xs.size
+    c = sign * dk * dx
+    j = np.arange(n_k, dtype=float)
+    lags = np.arange(1 - n_k, n_x, dtype=float)          # every l - j
+    l = lags[n_k - 1:]
+    size = 1 << (n_k + n_x - 2).bit_length()             # no circular wrap-around
+    chirp = np.zeros(size, dtype=complex)
+    chirp[lags.astype(int) % size] = np.exp(-0.5j * c * lags * lags)
+    u = amp * np.exp(1j * sign * (j * dk) * xs[0] + 0.5j * c * j * j)
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp))[:n_x]
+    return np.exp(1j * sign * k_start * xs) * np.exp(0.5j * c * l * l) * conv
 
 
-def _component_pieces(tag: str, ks: np.ndarray, cfg: PhysicalConfig):
-    """(coef(k), spatial momentum, sign) for each scattered component."""
-    if tag == "incident":
-        return np.ones_like(ks, dtype=complex), ks, +1.0
-    coeffs = above_barrier_coeffs(ks, cfg)
-    if tag == "reflected":
-        return coeffs.R, ks, -1.0
-    q = np.sqrt(ks * ks - cfg.w ** 2)
-    if tag == "alpha":
-        return coeffs.alpha_coef, q, +1.0
-    if tag == "beta":
-        return coeffs.beta_coef, q, -1.0
-    if tag == "transmitted":
-        return coeffs.T, ks, +1.0
-    raise ValueError(f"unknown component tag {tag!r}")
+def _spectral_field(amplitude, lo: float, hi: float, xs: np.ndarray, dx: float,
+                    sign: float, tol: float, n_k: int, max_n_k: int):
+    """Trapezoidal integral of amplitude(kappa) e^{i sign kappa x} over [lo, hi].
+
+    Refined by nested doubling: the sum on 2n - 1 nodes is half the sum on n
+    nodes plus the midpoint sum, so no node is evaluated twice.  Refinement
+    stops once the field changes by less than `tol` everywhere, or once the
+    grid reaches `max_n_k` nodes.  Returns (values, final node count,
+    converged); a grid that is never refined is not converged.
+    """
+    h = (hi - lo) / (n_k - 1)
+    f = amplitude(np.linspace(lo, hi, n_k))
+    f[[0, -1]] *= 0.5
+    values = h * _chirp_sum(f, lo, h, xs, dx, sign)
+    n, converged = n_k, False
+    while n < max_n_k:
+        mid = amplitude(lo + h * (np.arange(n - 1) + 0.5))
+        refined = 0.5 * (values + h * _chirp_sum(mid, lo + 0.5 * h, h, xs, dx, sign))
+        n, h = 2 * n - 1, 0.5 * h
+        converged = float(np.max(np.abs(refined - values))) < tol
+        values = refined
+        if converged:
+            break
+    return values, n, converged
+
+
+def _packet(k: np.ndarray, t: float, cfg: PhysicalConfig) -> np.ndarray:
+    """g(k) / sqrt(2 pi) e^{-i (E t + k x0)}: the incident packet's spectrum at time t."""
+    E = k * k / (2.0 * cfg.m)
+    return (GaussianSpectrum(cfg.a, cfg.k0).amplitude(k) / math.sqrt(2.0 * math.pi)
+            * np.exp(-1j * (E * t + k * cfg.x0)))
 
 
 def propagate_component(tag: str, grid: SpatialGrid, t: float, cfg: PhysicalConfig,
@@ -212,10 +228,12 @@ def propagate_component(tag: str, grid: SpatialGrid, t: float, cfg: PhysicalConf
                         max_n_k: int = 16385) -> WaveField:
     """Propagate one scattered component by quadrature over the momentum window.
 
-    The window is k0 +- 8/a clipped to the above-barrier zone (w, inf); the
-    trapezoidal momentum grid is refined by doubling until the field changes
-    by less than `tol` anywhere, so the reported values are grid-converged.
-    Deterministic: fixed evaluation order, independent of worker count.
+    The window is k0 +- 8/a clipped to the above-barrier zone (w, inf).  The
+    incident, reflected and transmitted components integrate over k; the
+    intra-barrier pair oscillates as e^{+-iqx} and integrates over
+    q = sqrt(k^2 - w^2) with dk = (q/k) dq, which also cancels the 1/q growth
+    of its coefficients at the zone edge.  The trapezoidal grid is refined by
+    doubling until the field changes by less than `tol` anywhere.
     """
     if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
         raise ZoneError("component propagation uses the non-relativistic solutions")
@@ -229,30 +247,29 @@ def propagate_component(tag: str, grid: SpatialGrid, t: float, cfg: PhysicalConf
         else:
             raise ValueError("a zero-width barrier has no interior region")
         return WaveField(grid=grid, values=values, t=t, component_tag=tag)
-    lo, hi = momentum_window(cfg, lower=cfg.w * (1.0 + 1e-12))
-    xs = grid.x
+    w = cfg.w
+    lo, hi = momentum_window(cfg, lower=w * (1.0 + 1e-12))
+    if tag == "incident":
+        def amplitude(k):
+            return _packet(k, t, cfg)
+    elif tag in ("alpha", "beta"):
+        lo, hi = math.sqrt((lo - w) * (lo + w)), math.sqrt((hi - w) * (hi + w))
 
-    def evaluate(n: int) -> np.ndarray:
-        ks = np.linspace(lo, hi, n)
-        dk = ks[1] - ks[0]
-        weights = np.full(n, dk)
-        weights[0] = weights[-1] = 0.5 * dk
-        coefs, spatial_k, sign = _component_pieces(tag, ks, cfg)
-        E = ks * ks / (2.0 * cfg.m)
-        g = (cfg.a ** 2 / (2.0 * np.pi)) ** 0.25 * np.exp(-cfg.a ** 2 * (ks - cfg.k0) ** 2 / 4.0)
-        phases_t = g / math.sqrt(2.0 * math.pi) * np.exp(-1j * (E * t + ks * cfg.x0))
-        return _quadrature_field(ks, weights, coefs, spatial_k, xs, sign, phases_t)
+        def amplitude(q):
+            k = np.sqrt(q * q + w * w)
+            coeffs = above_barrier_coeffs(k, cfg)
+            coef = coeffs.alpha_coef if tag == "alpha" else coeffs.beta_coef
+            return (q / k) * coef * _packet(k, t, cfg)
+    else:
+        def amplitude(k):
+            coeffs = above_barrier_coeffs(k, cfg)
+            return (coeffs.R if tag == "reflected" else coeffs.T) * _packet(k, t, cfg)
 
-    values = evaluate(n_k)
-    n = n_k
-    while n < max_n_k:
-        n = 2 * n - 1
-        refined = evaluate(n)
-        if float(np.max(np.abs(refined - values))) < tol:
-            values = refined
-            break
-        values = refined
-    return WaveField(grid=grid, values=values, t=t, component_tag=tag)
+    sign = -1.0 if tag in ("reflected", "beta") else 1.0     # e^{-ikx}, e^{-iqx}
+    values, n, converged = _spectral_field(amplitude, lo, hi, grid.x, grid.spacing,
+                                           sign, tol, n_k, max_n_k)
+    return WaveField(grid=grid, values=values, t=t, component_tag=tag,
+                     n_k=n, converged=converged)
 
 
 def propagate_tunnel_transmitted(grid: SpatialGrid, t: float, cfg: PhysicalConfig,
@@ -261,7 +278,7 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t: float, cfg: PhysicalConfi
     """Transmitted packet of the tunneling geometry (barrier on [-L/2, L/2]).
 
     Quadrature of |T| e^{i theta} e^{ik(x - L/2)} over the momentum window
-    clipped to the tunneling zone (0, w).
+    clipped to the tunneling zone (0, w), refined as in `propagate_component`.
     """
     from .stationary import tunnel_amplitude_nr
 
@@ -271,35 +288,16 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t: float, cfg: PhysicalConfi
     if grid.x_min < half - _REGION_TOL * max(1.0, abs(grid.x_max)):
         raise ValueError("transmitted grid must lie beyond the exit face x = L/2")
     lo, hi = momentum_window(cfg, lower=1e-12 * cfg.w, upper=cfg.w * (1.0 - 1e-12))
-    xs = grid.x
 
-    def evaluate(n: int) -> np.ndarray:
-        ks = np.linspace(lo, hi, n)
-        dk = ks[1] - ks[0]
-        weights = np.full(n, dk)
-        weights[0] = weights[-1] = 0.5 * dk
-        sc = tunnel_amplitude_nr(ks, cfg)
-        T_exit = (2.0 * ks * np.sqrt(cfg.w ** 2 - ks * ks) / sc.F) * np.exp(1j * sc.theta)
-        E = ks * ks / (2.0 * cfg.m)
-        g = (cfg.a ** 2 / (2.0 * np.pi)) ** 0.25 * np.exp(-cfg.a ** 2 * (ks - cfg.k0) ** 2 / 4.0)
-        base = g / math.sqrt(2.0 * math.pi) * T_exit * np.exp(-1j * (E * t + ks * cfg.x0))
-        total = np.zeros(xs.shape, dtype=complex)
-        comp = np.zeros(xs.shape, dtype=complex)
-        for j in range(n):
-            term = (weights[j] * base[j]) * np.exp(1j * ks[j] * (xs - half))
-            _kahan_accumulate(total, comp, term)
-        return total
+    def amplitude(k):
+        sc = tunnel_amplitude_nr(k, cfg)
+        T_exit = (2.0 * k * np.sqrt(cfg.w ** 2 - k * k) / sc.F) * np.exp(1j * sc.theta)
+        return T_exit * _packet(k, t, cfg)
 
-    values = evaluate(n_k)
-    n = n_k
-    while n < max_n_k:
-        n = 2 * n - 1
-        refined = evaluate(n)
-        if float(np.max(np.abs(refined - values))) < tol:
-            values = refined
-            break
-        values = refined
-    return WaveField(grid=grid, values=values, t=t, component_tag="transmitted-tunnel")
+    values, n, converged = _spectral_field(amplitude, lo, hi, grid.x - half, grid.spacing,
+                                           1.0, tol, n_k, max_n_k)
+    return WaveField(grid=grid, values=values, t=t, component_tag="transmitted-tunnel",
+                     n_k=n, converged=converged)
 
 
 # ---------------------------------------------------------------------------

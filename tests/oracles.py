@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the library's closed-form route: scattering
-amplitudes come from a 2x2 transfer-matrix product over the interfaces, and
-derivatives come from central finite differences.
+amplitudes come from a 2x2 transfer-matrix product over the interfaces,
+derivatives come from central finite differences, and spectral sums are
+accumulated one momentum at a time instead of by FFT.
 """
 
 from __future__ import annotations
@@ -46,3 +47,20 @@ def grid_derivative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def trapezoid_norm(density: np.ndarray, xs: np.ndarray) -> float:
     return float(np.trapezoid(density, xs))
+
+
+def direct_spectral_sum(amp: np.ndarray, ks: np.ndarray, xs: np.ndarray,
+                        sign: float) -> np.ndarray:
+    """sum_j amp_j e^{i sign k_j x} by direct, compensated (Kahan) summation.
+
+    One momentum at a time in ascending order: n_k x n_x complex exponentials,
+    each phase formed as the plain product k_j x.
+    """
+    total = np.zeros(xs.shape, dtype=complex)
+    comp = np.zeros(xs.shape, dtype=complex)
+    for a, k in zip(amp, ks):
+        y = a * np.exp(1j * sign * k * xs) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total

@@ -3,7 +3,7 @@
 Criterion 7 is split into its individual limit laws; the zone-edge dwell law
 (test_c07f) is implemented faithfully and fails: the dwell ratio's actual
 zone-edge limit is wL-dependent and never equals the quoted closed-form
-curve (see the ledger note and the docstring there).
+curve (see docs/DECISIONS.md, D1, and the docstring there).
 """
 
 import math
@@ -349,7 +349,7 @@ def test_c07f_zone_edge_dwell():
     which depends on wL (e.g. 0.684 at upsilon = 5, lower edge, wL = 2 pi; it
     tends to 1/S as wL -> 0, exactly twice the quoted 1/(2S)).  No admissible
     path reproduces the quoted curve, so the law is recorded as a defect
-    rather than loosened away.  See the decisions ledger.
+    rather than loosened away.  See docs/DECISIONS.md, D1.
     """
     worst = 0.0
     for upsilon, edge, sign in ((5.0, "lower", -1), (5.0, "upper", +1)):

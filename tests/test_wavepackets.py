@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import trapezoid_norm
+from oracles import direct_spectral_sum, trapezoid_norm
 
-from tunnellab.core import PhysicalConfig, ZoneError
-from tunnellab.stationary import tunnel_amplitude_nr
+from tunnellab.core import GaussianSpectrum, PhysicalConfig, ZoneError
+from tunnellab.stationary import above_barrier_coeffs, tunnel_amplitude_nr
 from tunnellab.wavepackets import (
+    _chirp_sum,
     SpatialGrid,
     WaveField,
     field_norm,
@@ -167,6 +168,7 @@ class TestPropagation:
         grid = SpatialGrid(-12.0, 0.0, 801)
         inc = propagate_component("incident", grid, 0.1, cfg)
         assert np.allclose(inc.values, free_gaussian(grid.x, 0.1, cfg), atol=1e-14)
+        assert inc.n_k is None and inc.converged    # closed form, no quadrature
         ref = propagate_component("reflected", grid, 0.1, cfg)
         assert np.all(ref.values == 0.0)
         with pytest.raises(ValueError, match="interior"):
@@ -334,3 +336,76 @@ class TestQuadratureConvergence:
         finer = propagate_component("reflected", grid, t, cfg,
                                     n_k=2 * 2049 - 1, max_n_k=2 * 2049 - 1)
         assert np.max(np.abs(converged.values - finer.values)) < 1e-6
+
+
+class TestChirpKernel:
+    @pytest.mark.parametrize("n_k, n_x", [(16385, 51), (513, 4001)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("x_min, x_max", [(-60.0, 0.0), (0.0, 60.0)])
+    def test_matches_direct_sum(self, n_k, n_x, sign, x_min, x_max):
+        # a spreading packet at k ~ 1.01e4 with its peak inside the grid: the
+        # phases k x reach 6e5, the size they have in the confrontation scenario
+        lo, hi = 10094.0, 10110.0
+        dk = (hi - lo) / (n_k - 1)
+        ks = lo + dk * np.arange(n_k)
+        dx = (x_max - x_min) / (n_x - 1)
+        xs = x_min + dx * np.arange(n_x)
+        x_peak = 0.5 * (x_min + x_max)
+        amp = dk * np.exp(-(ks - 10102.0) ** 2 / 4.0
+                          - 1j * (5e-4 * ks * ks + sign * ks * x_peak))
+        ref = direct_spectral_sum(amp, ks, xs, sign)
+        got = _chirp_sum(amp, lo, dk, xs, dx, sign)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestRunRecord:
+    def test_converged_field_reports_its_grid(self):
+        cfg = scatter_cfg(wa=500.0)
+        fld = propagate_component("reflected", SpatialGrid(-30.0, 0.0, 401), 1e-3, cfg)
+        assert fld.converged and fld.n_k in (1025, 2049, 4097, 8193, 16385)
+
+    def test_unconverged_field_says_so(self):
+        cfg = scatter_cfg(wa=500.0)
+        grid = SpatialGrid(-30.0, 0.0, 401)
+        capped = propagate_component("reflected", grid, 1e-3, cfg, tol=1e-300, max_n_k=1025)
+        assert (capped.n_k, capped.converged) == (1025, False)
+        unrefined = propagate_component("reflected", grid, 1e-3, cfg, n_k=513, max_n_k=513)
+        assert (unrefined.n_k, unrefined.converged) == (513, False)
+
+    def test_nested_refinement_is_the_finer_trapezoid(self):
+        # 513 nodes refined once by midpoints give the 1025-node rule itself
+        cfg = scatter_cfg(wa=500.0)
+        grid = SpatialGrid(0.0, cfg.L, 101)
+        for tag in ("alpha", "beta"):
+            nested = propagate_component(tag, grid, 1e-3, cfg, tol=1e-300, max_n_k=1025)
+            direct = propagate_component(tag, grid, 1e-3, cfg, n_k=1025, max_n_k=1025)
+            assert np.max(np.abs(nested.values - direct.values)) < 1e-12
+
+
+class TestZoneEdgeInteriorPair:
+    def test_alpha_beta_converge_to_the_direct_sum(self):
+        # k0 - 8/a < w clips the window at k = w, where alpha_coef and
+        # beta_coef grow like 1/q.  On a k grid the endpoint node at
+        # k = w(1 + 1e-12) adds a nearly constant false term (alpha(0) near
+        # 4.25 + 6.93i, no convergence by 16385 nodes); over q the Jacobian q/k
+        # cancels the growth.  The reference is a direct sum on 32769 q nodes.
+        cfg = PhysicalConfig(m=1.0, V0=12.5, L=1.0, a=1.0, k0=5.25, x0=-10.0)
+        t = 2.0
+        grid = SpatialGrid(0.0, cfg.L, 51)
+        w = cfg.w
+        q_lo = math.sqrt(w * w * ((1.0 + 1e-12) ** 2 - 1.0))
+        q_hi = math.sqrt((cfg.k0 + 8.0 / cfg.a) ** 2 - w * w)
+        qs = np.linspace(q_lo, q_hi, 32769)
+        ks = np.sqrt(qs * qs + w * w)
+        weights = np.full(qs.size, qs[1] - qs[0])
+        weights[[0, -1]] *= 0.5
+        spectrum = GaussianSpectrum(cfg.a, cfg.k0).amplitude(ks) / math.sqrt(2.0 * math.pi)
+        phase = np.exp(-1j * (ks * ks / (2.0 * cfg.m) * t + ks * cfg.x0))
+        integrand = weights * (qs / ks) * spectrum * phase
+        coeffs = above_barrier_coeffs(ks, cfg)
+        for tag, coef, sign in (("alpha", coeffs.alpha_coef, 1.0),
+                                ("beta", coeffs.beta_coef, -1.0)):
+            fld = propagate_component(tag, grid, t, cfg)
+            assert fld.converged, (tag, fld.n_k)
+            ref = direct_spectral_sum(integrand * coef, qs, grid.x, sign)
+            assert np.max(np.abs(fld.values - ref)) < 1e-6, tag
