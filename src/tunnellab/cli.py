@@ -41,7 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true", help="also write JSON mirrors")
     run.add_argument("--no-timestamp", action="store_true",
                      help="suppress the generated_at line for byte-identical reruns")
-    run.add_argument("--threads", type=int, default=1, help="row-level parallelism")
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility and ignored (must be >= 1): "
+                          "every scenario runs in one thread")
 
     sub.add_parser("list", help="enumerate available scenarios")
     return parser

@@ -1,17 +1,18 @@
 """Scenario driver: named reproductions of the reference tables and curves,
 structured configuration input, and deterministic CSV/JSON emission.
 
-Each scenario computes one or more result tables.  Rows are independent and
-may be computed in parallel; output ordering is fixed by row index, and a
-rerun with the same configuration yields byte-identical files (the timestamp
-line is suppressible).
+Each scenario computes one or more result tables in a single thread: the
+transit-time scenarios evaluate whole columns at once, and the quadrature
+and search scenarios are numpy-bound loops that threads did not speed up.
+Output ordering is fixed by row index, and a rerun with the same
+configuration yields byte-identical files (the timestamp line is
+suppressible).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,13 +263,9 @@ def _validate_config(name: str, config: dict) -> None:
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _parallel_rows(tasks, threads: int) -> list:
-    """Evaluate independent row tasks, preserving index order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+def _rows(columns) -> list[tuple]:
+    """Table rows of equal-length columns, as tuples of Python floats."""
+    return list(zip(*(np.asarray(col, dtype=float).tolist() for col in columns)))
 
 
 def _above_barrier_cfg(config: dict) -> PhysicalConfig:
@@ -287,7 +284,7 @@ def _snapshot_times(cfg: PhysicalConfig, n_snapshots: int) -> list[float]:
     return [n * unit for n in range(n_snapshots)]
 
 
-def _run_free_packet(config: dict, sweep: Sweep | None, threads: int) -> list[ResultTable]:
+def _run_free_packet(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     cfg = PhysicalConfig(m=config["m"], V0=1.0, L=0.0, a=config["a"],
                          k0=config["k0"], x0=config["x0"])
     # sweep and default both quote t in units of the spreading time m a^2
@@ -312,7 +309,7 @@ def _run_free_packet(config: dict, sweep: Sweep | None, threads: int) -> list[Re
     )]
 
 
-def _run_above_barrier_naive(config: dict, sweep, threads: int) -> list[ResultTable]:
+def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
     cfg = _above_barrier_cfg(config)
     times_at = naive_above_barrier_times(cfg, 0.0)
     times_at_L = naive_above_barrier_times(cfg, cfg.L)
@@ -342,7 +339,7 @@ def _run_above_barrier_naive(config: dict, sweep, threads: int) -> list[ResultTa
     return [summary, peaks]
 
 
-def _run_multipeak(config: dict, sweep, threads: int) -> list[ResultTable]:
+def _run_multipeak(config: dict, sweep) -> list[ResultTable]:
     cfg = _above_barrier_cfg(config)
     q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
     n_terms = int(config["n_terms"])
@@ -379,7 +376,7 @@ def _run_multipeak(config: dict, sweep, threads: int) -> list[ResultTable]:
     return [peaks, round_trip]
 
 
-def _run_confront(config: dict, sweep, threads: int) -> list[ResultTable]:
+def _run_confront(config: dict, sweep) -> list[ResultTable]:
     cfg = _above_barrier_cfg(config)
     n_terms = int(config["n_terms"])
     n_x = int(config["n_x"])
@@ -396,8 +393,7 @@ def _run_confront(config: dict, sweep, threads: int) -> list[ResultTable]:
 
     sample_stride = max(1, n_x // 80)
 
-    def one(idx_t_tag):
-        idx, t, tag = idx_t_tag
+    def one(idx, t, tag):
         grid = grids[tag]
         ana = multipeak_partial_sum_field(tag, n_terms, grid, t, cfg)
         num = propagate_component(tag, grid, t, cfg)
@@ -410,8 +406,7 @@ def _run_confront(config: dict, sweep, threads: int) -> list[ResultTable]:
                                       d_num[::sample_stride])]
         return (idx, t, tag, max_diff, float(d_num.max())), pairs
 
-    tasks = [(idx, t, tag) for idx, t in enumerate(snapshots) for tag in grids]
-    results = _parallel_rows([lambda task=task: one(task) for task in tasks], threads)
+    results = [one(idx, t, tag) for idx, t in enumerate(snapshots) for tag in grids]
     diffs = ResultTable(
         name="confront_summary",
         columns=["snapshot", "t", "component", "max_abs_density_diff", "density_peak_numeric"],
@@ -428,30 +423,19 @@ def _run_confront(config: dict, sweep, threads: int) -> list[ResultTable]:
     return [diffs, fields]
 
 
-def _run_table1(config: dict, sweep, threads: int) -> list[ResultTable]:
+def _run_table1(config: dict, sweep) -> list[ResultTable]:
     k0a = config["k0a"]
     wa_values = [float(v) for v in config["wa_values"]]
     n_steps = int(round((config["L_over_a_max"] - config["L_over_a_min"])
                         / config["L_over_a_step"])) + 1
     L_values = [config["L_over_a_min"] + i * config["L_over_a_step"] for i in range(n_steps)]
 
-    def cell(wa: float, Lba: float):
-        cfg = PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=Lba, a=1.0, k0=k0a)
-        result = kmax_find(cfg)
-        return result.k_max, result.distorted
-
-    tasks = []
-    for Lba in L_values:
-        for wa in wa_values:
-            tasks.append(lambda wa=wa, Lba=Lba: cell(wa, Lba))
-    flat = _parallel_rows(tasks, threads)
     rows = []
-    i = 0
     for Lba in L_values:
         for wa in wa_values:
-            k_max, distorted = flat[i]
-            i += 1
-            rows.append((wa, Lba, "*" if distorted else k_max))
+            cfg = PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=Lba, a=1.0, k0=k0a)
+            result = kmax_find(cfg)
+            rows.append((wa, Lba, "*" if result.distorted else result.k_max))
     return [ResultTable(
         name="table1",
         columns=["wa", "L_over_a", "kmax_a"],
@@ -460,7 +444,7 @@ def _run_table1(config: dict, sweep, threads: int) -> list[ResultTable]:
     )]
 
 
-def _run_nr_phase(config: dict, sweep: Sweep | None, threads: int) -> list[ResultTable]:
+def _run_nr_phase(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     if sweep is not None:
         alphas = sweep.values()
     else:
@@ -489,35 +473,32 @@ def _run_nr_phase(config: dict, sweep: Sweep | None, threads: int) -> list[Resul
     ]
 
 
-def _run_symmetric_times(config: dict, sweep: Sweep | None, threads: int) -> list[ResultTable]:
+def _run_symmetric_times(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     wL = float(config["wL"])
     if sweep is not None:
         ns = sweep.values()
     else:
         ns = np.linspace(config["n_min"], config["n_max"], int(config["n_steps"]))
-    rows = []
-    for n in ns:
-        alpha = wL * math.sqrt(1.0 - float(n))
-        row = [float(n), alpha]
-        for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
-            tp = float(symmetric_phase_time(n, alpha, parity))
-            td = float(symmetric_dwell(n, alpha, parity))
-            ts = float(symmetric_self_interference(n, alpha, parity))
-            row += [tp, td, ts, tp - td - ts]
-        row.append(float(nr_one_way_rate(n, alpha)))
-        rows.append(tuple(row))
+    alpha = wL * np.sqrt(1.0 - ns)
+    columns = [ns, alpha]
+    for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
+        tp = symmetric_phase_time(ns, alpha, parity)
+        td = symmetric_dwell(ns, alpha, parity)
+        ts = symmetric_self_interference(ns, alpha, parity)
+        columns += [tp, td, ts, tp - td - ts]
+    columns.append(nr_one_way_rate(ns, alpha))
     return [ResultTable(
         name="symmetric_times",
         columns=["n", "alpha",
                  "t_phase_plus", "t_dwell_plus", "t_self_plus", "identity_plus",
                  "t_phase_minus", "t_dwell_minus", "t_self_minus", "identity_minus",
                  "t_one_way"],
-        rows=rows,
+        rows=_rows(columns),
         provenance={"config.wL": wL},
     )]
 
 
-def _run_relativistic_times(config: dict, sweep: Sweep | None, threads: int) -> list[ResultTable]:
+def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     wL = float(config["wL"])
     margin = float(config["edge_margin"])
     rows = []
@@ -529,21 +510,19 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None, threads: int) -> 
             ns = sweep.values()
         else:
             ns = np.linspace(lo, hi, int(config["n_sq_steps"]))
-        for n_sq in ns:
-            n_sq = float(n_sq)
-            if not (n_sq > 0.0 and abs(n_sq - 0.5 * upsilon) < 1.0):
-                continue
-            T_mag, phi = relativistic_transmission(n_sq, upsilon, wL)
-            t_phase = float(rel_phase_time(n_sq, upsilon, wL))
-            t_dwell = float(rel_dwell(n_sq, upsilon, wL))
-            if upsilon > 0.0:
-                t_resc = float(rel_rescaled_dwell(n_sq, upsilon, wL))
-                t_self = rel_self_interference(n_sq, upsilon, wL)
-                residual = rel_variational_residual(n_sq, upsilon, wL)
-            else:
-                t_resc, t_self, residual = math.nan, math.nan, math.nan
-            rows.append((upsilon, n_sq, float(T_mag) ** 2, float(phi), t_phase,
-                         t_dwell, t_resc, t_self, residual))
+        ns = ns[(ns > 0.0) & (np.abs(ns - 0.5 * upsilon) < 1.0)]
+        if ns.size == 0:
+            continue
+        T_mag, phi = relativistic_transmission(ns, upsilon, wL)
+        if upsilon > 0.0:
+            rel_only = [rel_rescaled_dwell(ns, upsilon, wL),
+                        rel_self_interference(ns, upsilon, wL),
+                        rel_variational_residual(ns, upsilon, wL)]
+        else:
+            rel_only = [np.full(ns.size, math.nan)] * 3
+        rows += _rows([np.full(ns.size, upsilon), ns, T_mag ** 2, phi,
+                       rel_phase_time(ns, upsilon, wL), rel_dwell(ns, upsilon, wL),
+                       *rel_only])
     return [ResultTable(
         name="relativistic_times",
         columns=["upsilon", "n_sq", "T_sq", "phase", "t_phase", "t_dwell",
@@ -553,7 +532,7 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None, threads: int) -> 
     )]
 
 
-def _run_hartman(config: dict, sweep, threads: int) -> list[ResultTable]:
+def _run_hartman(config: dict, sweep) -> list[ResultTable]:
     alphas = np.linspace(0.5, float(config["alpha_max"]), int(config["alpha_steps"]))
     tol = float(config["saturation_tol"])
     rows = []
@@ -598,11 +577,15 @@ _RUNNERS = {
 
 
 def run_scenario(spec: ScenarioSpec, threads: int = 1) -> list[ResultTable]:
-    """Run one scenario and return its result tables (deterministic)."""
+    """Run one scenario and return its result tables (deterministic).
+
+    ``threads`` is accepted for compatibility and ignored: every scenario
+    runs in the calling thread.
+    """
     if spec.name not in _RUNNERS:
         raise ScenarioError(f"unknown scenario {spec.name!r}; choose one of {', '.join(SCENARIO_NAMES)}")
     try:
-        tables = _RUNNERS[spec.name](spec.config, spec.sweep, threads)
+        tables = _RUNNERS[spec.name](spec.config, spec.sweep)
     except (ConfigError, ScenarioError):
         raise
     except (ZoneError, ValueError) as exc:

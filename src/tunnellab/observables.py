@@ -15,6 +15,7 @@ functions).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,8 @@ __all__ = [
 
 _SERIES_EPS = 1e-6    # small-argument switch for 0/0-prone boundary evaluations
 _SCALE_ARG = 300.0    # above this, sinh/cosh are evaluated in scaled form
+_SINH_SERIES_X = 0.5  # below this, sinh(x) - x and sinh(2x) - 2x are summed as series
+_FIELD_ROWS = 1024    # rows per (rows x n_quad) interior field of the identity check
 
 
 def _as_1d(*values):
@@ -84,6 +87,35 @@ def _as_1d(*values):
 
 def _restore(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    xs, wq = np.polynomial.legendre.leggauss(n)
+    xs.flags.writeable = False
+    wq.flags.writeable = False
+    return xs, wq
+
+
+def _sinhc_minus_1_series(x2: np.ndarray) -> np.ndarray:
+    """sinh(x)/x - 1 as its Taylor series in x^2, for x^2 <= 1.
+
+    x^2/6 (1 + x^2/20 (1 + x^2/42 (...))) through x^18: the first dropped
+    term is below 2e-19 of the sum at x = 1.
+    """
+    tail = np.ones_like(x2)
+    for k in range(8, 0, -1):
+        tail = 1.0 + x2 * tail / ((2 * k + 2) * (2 * k + 3))
+    return x2 / 6.0 * tail
+
+
+def _sinh_minus_x(x: np.ndarray) -> np.ndarray:
+    """sinh(x) - x, summed as a series below _SINH_SERIES_X, where the
+    difference would cancel (relative error below 1e-14 for every x >= 0)."""
+    small = x < _SINH_SERIES_X
+    safe = np.where(small, 1.0, x)
+    return np.where(small, x * _sinhc_minus_1_series(x * x), np.sinh(safe) - safe)
 
 
 @dataclass(frozen=True)
@@ -398,7 +430,9 @@ def _symmetric_ratio(n, alpha, sign: int, which: str):
         if which == "phase":
             out[mid] = (2.0 / a) * (nn * a + sign * sh) / den
         elif which == "dwell":
-            out[mid] = (2.0 * nn / a) * (a + sign * sh) / den
+            # the fermion's a - sinh a cancels at small a
+            gap = a + sh if sign > 0 else -_sinh_minus_x(a)
+            out[mid] = (2.0 * nn / a) * gap / den
         else:
             out[mid] = sign * (2.0 / a) * (1.0 - nn) * sh / den
     if np.any(small):
@@ -414,7 +448,8 @@ def _symmetric_ratio(n, alpha, sign: int, which: str):
             if which == "phase":
                 out[small] = 1.0 + a2 / (12.0 * (nn - 1.0))
             elif which == "dwell":
-                out[small] = nn * a2 / (6.0 * (1.0 - nn))
+                out[small] = (nn * a2 / (6.0 * (1.0 - nn))) \
+                    * (1.0 + a2 * (1.0 / 20.0 - 1.0 / (4.0 * (1.0 - nn))))
             else:
                 out[small] = 1.0 + a2 * (1.0 / 6.0 - 1.0 / (4.0 * (1.0 - nn)))
     if np.any(big):
@@ -464,7 +499,7 @@ def symmetric_dwell_quadrature(cfg: PhysicalConfig, parity: Parity,
     k, L = cfg.k0, cfg.L
     gamma, beta = symmetric_intra_barrier_coeffs(k, cfg)
     rho = math.sqrt(cfg.w ** 2 - k * k)
-    xs, wq = np.polynomial.legendre.leggauss(n_quad)
+    xs, wq = _gauss_legendre(n_quad)
     half = 0.5 * L
     xs = xs * half
     wq = wq * half
@@ -508,19 +543,20 @@ def _rel_S(n_sq, upsilon: float):
 
 
 def _shch_over_x_minus_1(x: np.ndarray) -> np.ndarray:
-    """sinh(x) cosh(x)/x - 1, stable for small x (series error below 1e-13)."""
-    small = x < 0.05
+    """sinh(x) cosh(x)/x - 1 = sinh(2x)/(2x) - 1, stable for small x
+    (relative error below 1e-14 for every x >= 0)."""
+    small = x < _SINH_SERIES_X
     safe = np.where(small, 1.0, x)
-    x2 = x * x
-    series = (2.0 * x2 / 3.0) * (1.0 + x2 / 5.0 + 2.0 * x2 * x2 / 105.0)
-    return np.where(small, series, np.sinh(safe) * np.cosh(safe) / safe - 1.0)
+    return np.where(small, _sinhc_minus_1_series(4.0 * x * x),
+                    np.sinh(safe) * np.cosh(safe) / safe - 1.0)
 
 
 def _sinh_sq(x: np.ndarray) -> np.ndarray:
+    """sinh(x)^2, by its series through x^8 below x = 0.05."""
     small = x < 0.05
     safe = np.where(small, 1.0, x)
     x2 = x * x
-    series = x2 * (1.0 + x2 / 3.0 + 2.0 * x2 * x2 / 45.0)
+    series = x2 * (1.0 + x2 / 3.0 * (1.0 + 2.0 * x2 / 15.0 * (1.0 + x2 / 14.0)))
     return np.where(small, series, np.sinh(safe) ** 2)
 
 
@@ -710,52 +746,57 @@ def rel_rescaled_dwell(n_sq, upsilon: float, wL: float):
     return _restore(out, scalar)
 
 
-def _kg_config(n_sq: float, upsilon: float, wL: float) -> PhysicalConfig:
+def _kg_continuity(n_sq: np.ndarray, upsilon: float, wL: float):
+    """(k, cfg, coefficients) of the m = 1 continuity solution at every n_sq."""
+    _check_rel_zone(n_sq, upsilon)
     if upsilon <= 0.0:
         raise ZoneError("the relativistic family needs upsilon > 0")
-    m = 1.0
-    V0 = upsilon * m
-    w = math.sqrt(2.0 * m * V0)
-    return PhysicalConfig(m=m, V0=V0, L=wL / w, a=1.0, k0=math.sqrt(n_sq) * w,
-                          dispersion=Dispersion.RELATIVISTIC_KG)
+    w = math.sqrt(2.0 * upsilon)
+    k = np.sqrt(n_sq) * w
+    # kg_scatter_coeffs reads m, V0 and L from cfg; k0 only has to be valid
+    cfg = PhysicalConfig(m=1.0, V0=upsilon, L=wL / w, a=1.0, k0=float(k[0]),
+                         dispersion=Dispersion.RELATIVISTIC_KG)
+    return k, cfg, kg_scatter_coeffs(k, cfg)
 
 
-def rel_self_interference(n_sq: float, upsilon: float, wL: float) -> float:
+def rel_self_interference(n_sq, upsilon: float, wL: float):
     """Normalized overlap delay in front of the barrier.
 
     t_I/tau = -(dk/dE) Im[R] / (k tau) = -Im[R]/(k L), with R from the
     continuity solution.
     """
-    _check_rel_zone(np.atleast_1d(float(n_sq)), upsilon)
-    cfg = _kg_config(n_sq, upsilon, wL)
-    R = kg_scatter_coeffs(cfg.k0, cfg).R
-    return -R.imag / (cfg.k0 * cfg.L)
+    (n_sq,), scalar = _as_1d(n_sq)
+    k, cfg, sc = _kg_continuity(n_sq, upsilon, wL)
+    return _restore(-sc.R.imag / (k * cfg.L), scalar)
 
 
-def rel_variational_residual(n_sq: float, upsilon: float, wL: float,
-                             n_quad: int = 160) -> float:
+def rel_variational_residual(n_sq, upsilon: float, wL: float, n_quad: int = 160):
     """Residual of the phase/dwell identity, normalized by tau.
 
     t_phi/tau - [ ((E - V0)/k) integral |phi_2|^2 / tau + t_I/tau ]
     with the intra-barrier field and R from the continuity solution; zero up
-    to quadrature roundoff.
+    to quadrature roundoff.  The field is formed on (rows x n_quad) grids of
+    at most _FIELD_ROWS rows.
     """
-    _check_rel_zone(np.atleast_1d(float(n_sq)), upsilon)
-    cfg = _kg_config(n_sq, upsilon, wL)
-    k, L, m = cfg.k0, cfg.L, cfg.m
-    E = math.sqrt(k * k + m * m)
-    sc = kg_scatter_coeffs(k, cfg)
-    rho = math.sqrt(m * m - (E - cfg.V0) ** 2)
-    xs, wq = np.polynomial.legendre.leggauss(n_quad)
+    (n_sq,), scalar = _as_1d(n_sq)
+    k, cfg, sc = _kg_continuity(n_sq, upsilon, wL)
+    L, V0 = cfg.L, cfg.V0
+    E = np.sqrt(k * k + 1.0)
+    rho = np.sqrt(1.0 - (E - V0) ** 2)[:, None]
+    xs, wq = _gauss_legendre(n_quad)
     xs = 0.5 * L * (xs + 1.0)
     wq = wq * 0.5 * L
-    phi2 = sc.alpha_coef * np.exp(-rho * xs) + sc.beta_coef * np.exp(rho * xs)
-    integral = float(np.sum(wq * np.abs(phi2) ** 2))
+    integral = np.empty_like(k)
+    for lo in range(0, k.size, _FIELD_ROWS):   # bounds the field's memory
+        rows = slice(lo, lo + _FIELD_ROWS)
+        phi2 = sc.alpha_coef[rows, None] * np.exp(-rho[rows] * xs) \
+            + sc.beta_coef[rows, None] * np.exp(rho[rows] * xs)
+        integral[rows] = np.sum(wq * np.abs(phi2) ** 2, axis=1)
     tau = L * E / k
-    t_resc_norm = (E - cfg.V0) / k * integral / tau
+    t_resc_norm = (E - V0) / k * integral / tau
     t_self_norm = -sc.R.imag / (k * L)
-    t_phase_norm = float(rel_phase_time(n_sq, upsilon, wL))
-    return t_phase_norm - (t_resc_norm + t_self_norm)
+    t_phase_norm = rel_phase_time(n_sq, upsilon, wL)
+    return _restore(t_phase_norm - (t_resc_norm + t_self_norm), scalar)
 
 
 def rel_time_observables(n_sq: float, upsilon: float, wL: float) -> TimeObservables:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tunnellab.cli import main
@@ -11,6 +12,14 @@ from tunnellab.lab import (
     parse_config,
     run_scenario,
 )
+from tunnellab.observables import (
+    rel_dwell,
+    rel_phase_time,
+    rel_rescaled_dwell,
+    rel_self_interference,
+    rel_variational_residual,
+)
+from tunnellab.stationary import relativistic_transmission
 
 
 class TestParseConfig:
@@ -111,6 +120,39 @@ class TestRunScenarios:
             assert 0.0 < row[cols["T_sq"]] <= 1.0
             if row[cols["upsilon"]] > 0.0:
                 assert abs(row[cols["identity_residual"]]) < 1e-8
+
+    def test_relativistic_sweep_across_the_zone(self):
+        # the sweep runs through the Klein zone, the tunneling zone and the
+        # above-barrier zone of each upsilon; upsilon = 20 keeps no point
+        upsilons, wL = [0.0, 1.0, 5.0, 10.0, 20.0], 2.0 * math.pi
+        spec = parse_config(json.dumps({
+            "config": {"upsilon_values": upsilons, "wL": wL},
+            "sweep": {"parameter": "n_sq", "min": -0.5, "max": 6.5, "steps": 29},
+        }), scenario="relativistic-times")
+        (table,) = run_scenario(spec)
+        expected = []
+        for upsilon in upsilons:
+            for n_sq in np.linspace(-0.5, 6.5, 29):
+                n_sq = float(n_sq)
+                if not (n_sq > 0.0 and abs(n_sq - 0.5 * upsilon) < 1.0):
+                    continue
+                T_mag, phi = relativistic_transmission(n_sq, upsilon, wL)
+                row = [upsilon, n_sq, T_mag * T_mag, phi,
+                       rel_phase_time(n_sq, upsilon, wL), rel_dwell(n_sq, upsilon, wL)]
+                if upsilon > 0.0:
+                    row += [rel_rescaled_dwell(n_sq, upsilon, wL),
+                            rel_self_interference(n_sq, upsilon, wL),
+                            rel_variational_residual(n_sq, upsilon, wL)]
+                else:
+                    row += [math.nan] * 3
+                expected.append(tuple(row))
+        assert [row[:2] for row in table.rows] == [row[:2] for row in expected]
+        assert {row[0] for row in table.rows} == {0.0, 1.0, 5.0, 10.0}
+        np.testing.assert_allclose(np.array(table.rows), np.array(expected),
+                                   rtol=0.0, atol=1e-15, equal_nan=True)
+        for row in table.rows:
+            assert all(math.isnan(v) for v in row[6:]) == (row[0] == 0.0)
+            assert all(math.isfinite(v) for v in row[:6])
 
     def test_provenance_echoes_config(self):
         spec = parse_config('{"config": {"n_steps": 5}}', scenario="symmetric-times")

@@ -367,8 +367,8 @@ class TestRelativisticDwell:
                                       rel_dwell(ns, 0.0, 2.0))
 
     def test_continuity_dwell_splits_phase_time(self):
-        # closed forms only: t_phi = ((E - V0)/m) t_D + t_I, no quadrature;
-        # the small-x series of the shared sinh helpers limit this to ~1e-11
+        # closed forms only: t_phi = ((E - V0)/m) t_D + t_I, no quadrature
+        # (worst 3.8e-13)
         for upsilon in (1.0, 5.0, 10.0):
             for n_sq in np.linspace(max(0.5 * upsilon - 0.9, 0.05),
                                     0.5 * upsilon + 0.9, 7):
@@ -377,7 +377,7 @@ class TestRelativisticDwell:
                     split = (e_minus_v0 * rel_continuity_dwell(n_sq, upsilon, wL)
                              + rel_self_interference(float(n_sq), upsilon, wL))
                     assert float(rel_phase_time(n_sq, upsilon, wL)) == pytest.approx(
-                        split, rel=1e-10)
+                        split, rel=1e-12)
 
     def test_zone_edge_curve_values(self):
         # thin barrier: 1/S, S = 2 n^2 +- 1
@@ -430,6 +430,73 @@ class TestRelativisticDwell:
             (math.sqrt(1.0 + 2.0 * 2.0 * upsilon) - upsilon) * rec.t_dwell, rel=1e-12)
         assert rec.t_phase == pytest.approx(float(rel_phase_time(2.0, upsilon, wL)), rel=1e-14)
         assert rec.t_self == pytest.approx(rel_self_interference(2.0, upsilon, wL), rel=1e-14)
+
+
+# (wL, upsilon values) of the two relativistic-times input variants of the benchmark
+_REL_VARIANTS = ((2.0 * math.pi, (1.0, 2.0, 5.0, 10.0)),
+                 (1.8 * math.pi, (1.5, 3.0, 6.0, 12.0)))
+
+
+class TestRelativisticArrayCalls:
+    @pytest.mark.parametrize("wL, upsilons", _REL_VARIANTS)
+    def test_array_equals_stacked_scalars(self, wL, upsilons):
+        for upsilon in upsilons:
+            ns = np.linspace(max(0.5 * upsilon - 1.0, 0.0) + 1e-3,
+                             0.5 * upsilon + 1.0 - 1e-3, 101)
+            for fn in (rel_variational_residual, rel_self_interference):
+                stacked = np.array([fn(float(n_sq), upsilon, wL) for n_sq in ns])
+                np.testing.assert_allclose(fn(ns, upsilon, wL), stacked, rtol=0.0, atol=1e-15)
+
+    def test_field_blocks(self, monkeypatch):
+        from tunnellab import observables
+        ns = np.linspace(1.6, 3.4, 20)
+        whole = rel_variational_residual(ns, 5.0, 2.0 * math.pi)
+        monkeypatch.setattr(observables, "_FIELD_ROWS", 7)
+        np.testing.assert_array_equal(rel_variational_residual(ns, 5.0, 2.0 * math.pi), whole)
+
+    def test_scalar_call_returns_float(self):
+        for fn in (rel_variational_residual, rel_self_interference):
+            assert type(fn(2.0, 5.0, 2.0 * math.pi)) is float
+            assert type(fn(np.float64(2.0), 5.0, 2.0 * math.pi)) is float
+
+    def test_checks_kept(self):
+        for fn in (rel_variational_residual, rel_self_interference):
+            with pytest.raises(ZoneError):
+                fn(np.array([2.0, 0.4]), 5.0, 1.0)
+            with pytest.raises(ZoneError, match="upsilon > 0"):
+                fn(np.array([0.5]), 0.0, 1.0)
+
+    def test_nodes_built_once_per_order(self, monkeypatch):
+        from tunnellab import observables
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        observables._gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        try:
+            ns = np.linspace(1.6, 3.4, 5)
+            for _ in range(3):
+                rel_variational_residual(ns, 5.0, 2.0 * math.pi)
+                rel_variational_residual(2.0, 5.0, 1.0)
+                rel_variational_residual(2.0, 5.0, 1.0, n_quad=40)
+                symmetric_dwell_quadrature(tunnel_cfg(), Parity.SYMMETRIC)
+        finally:
+            observables._gauss_legendre.cache_clear()
+        assert sorted(calls) == [40, 160, 200]
+
+    def test_cached_nodes_read_only(self):
+        from tunnellab import observables
+        xs, wq = observables._gauss_legendre(160)
+        assert not xs.flags.writeable and not wq.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+        ref_xs, ref_wq = np.polynomial.legendre.leggauss(160)
+        np.testing.assert_array_equal(xs, ref_xs)
+        np.testing.assert_array_equal(wq, ref_wq)
 
 
 class TestZoneEdgeTransmission:
