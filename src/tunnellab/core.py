@@ -24,7 +24,6 @@ __all__ = [
     "GaussianSpectrum",
     "ChannelMomentum",
     "GAUSS_WINDOW_HALFWIDTH",
-    "BOUNDARY_SERIES_EPS",
     "energy",
     "group_velocity",
     "nr_zone",
@@ -44,10 +43,6 @@ __all__ = [
 # Half-width of the momentum window used by every spectral integral, in units
 # of 1/a.  Gaussian mass outside k0 +- 8/a is below 1e-13.
 GAUSS_WINDOW_HALFWIDTH = 8.0
-
-# Below this value of the small parameter (rho*L, q*L, alpha, ...) boundary
-# evaluations switch to series forms instead of risking 0/0.
-BOUNDARY_SERIES_EPS = 1e-6
 
 
 class Dispersion(enum.Enum):

@@ -228,6 +228,20 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
     return ScenarioSpec(name=name, config=config, sweep=sweep, output=output)
 
 
+_TABLE1_MAX_CELLS = 100_000
+
+
+def _table1_rows(config: dict) -> int:
+    """Rows of the table1 L/a grid; ConfigError past _TABLE1_MAX_CELLS rows x wa_values."""
+    span = (config["L_over_a_max"] - config["L_over_a_min"]) / config["L_over_a_step"]
+    n_rows = round(span) + 1 if math.isfinite(span) else math.inf
+    n_wa = len(config["wa_values"])
+    if n_rows * max(n_wa, 1) > _TABLE1_MAX_CELLS:   # the rows are built even with no wa
+        raise ConfigError(f"L_over_a_step = {config['L_over_a_step']!r} gives {n_rows:.6g} rows"
+                          f" x {n_wa} wa_values; table1 allows {_TABLE1_MAX_CELLS} cells")
+    return n_rows
+
+
 def _validate_config(name: str, config: dict) -> None:
     def positive(key):
         if not (isinstance(config[key], (int, float)) and config[key] > 0):
@@ -249,6 +263,7 @@ def _validate_config(name: str, config: dict) -> None:
         positive("L_over_a_step")
         if config["L_over_a_min"] > config["L_over_a_max"]:
             raise ConfigError("L_over_a_min must not exceed L_over_a_max")
+        _table1_rows(config)
     elif name == "symmetric-times":
         positive("wL")
         if not 0.0 < config["n_min"] < config["n_max"] < 1.0:
@@ -425,17 +440,13 @@ def _run_confront(config: dict, sweep) -> list[ResultTable]:
 
 def _run_table1(config: dict, sweep) -> list[ResultTable]:
     k0a = config["k0a"]
-    wa_values = [float(v) for v in config["wa_values"]]
-    n_steps = int(round((config["L_over_a_max"] - config["L_over_a_min"])
-                        / config["L_over_a_step"])) + 1
-    L_values = [config["L_over_a_min"] + i * config["L_over_a_step"] for i in range(n_steps)]
-
-    rows = []
-    for Lba in L_values:
-        for wa in wa_values:
-            cfg = PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=Lba, a=1.0, k0=k0a)
-            result = kmax_find(cfg)
-            rows.append((wa, Lba, "*" if result.distorted else result.k_max))
+    L_values = [config["L_over_a_min"] + i * config["L_over_a_step"]
+                for i in range(_table1_rows(config))]
+    cells = [(float(wa), Lba) for Lba in L_values for wa in config["wa_values"]]
+    found = kmax_find([PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=Lba, a=1.0, k0=k0a)
+                       for wa, Lba in cells])
+    rows = [(wa, Lba, "*" if result.distorted else result.k_max)
+            for (wa, Lba), result in zip(cells, found)]
     return [ResultTable(
         name="table1",
         columns=["wa", "L_over_a", "kmax_a"],

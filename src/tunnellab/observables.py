@@ -369,43 +369,51 @@ def distortion_threshold_length(cfg: PhysicalConfig) -> float:
     return cfg.a * math.sqrt(1.5 * ratio)
 
 
-def kmax_find(cfg: PhysicalConfig, *, n_scan: int = 2000,
-              tol_ka: float = 1e-8) -> SpectralMaximum:
-    """Argmax of g(k - k0) |T(k, L)| over (0, w).
+def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
+    """Argmax of g(k - k0) |T(k, L)| over (0, w) for one config or a sequence.
 
-    Coarse scan on n_scan points followed by golden-section refinement to
-    tol_ka in units of k*a.  Below the distortion threshold the objective is
-    unimodal with its maximum strictly between k0 and w.
+    A config gives a SpectralMaximum, a sequence a list in order.  Each cell
+    is scanned on n_scan points; one golden-section loop then refines every
+    cell in lockstep, one objective call per iteration, until each bracket is
+    below tol_ka / a.  That bounds the bracket, not the error: the objective
+    is flat to rounding at its maximum (docs/DECISIONS.md D5).  Below the
+    distortion threshold it is unimodal with its maximum in (k0, w).
     """
-    w, a, k0, L = cfg.w, cfg.a, cfg.k0, cfg.L
-    if not 0.0 < k0 < w:
-        raise ZoneError(f"the filtered-spectrum search needs 0 < k0 < w = {w:g}")
+    single = isinstance(cfgs, PhysicalConfig)
+    cells = [cfgs] if single else list(cfgs)
+    for cfg in cells:
+        if not 0.0 < cfg.k0 < cfg.w:
+            raise ZoneError(f"the filtered-spectrum search needs 0 < k0 < w = {cfg.w:g}")
+    if not cells:
+        return []
 
-    def objective(k):
-        g = np.exp(-a * a * (np.asarray(k, dtype=float) - k0) ** 2 / 4.0)
-        return g if L == 0.0 else g * nr_transmission_mag(k, w, L)
+    def objective(k, w, a, k0, L):
+        return np.exp(-a * a * (k - k0) ** 2 / 4.0) * nr_transmission_mag(k, w, L)
 
-    ks = np.linspace(w * 1e-9, w * (1.0 - 1e-12), n_scan)
-    vals = np.asarray(objective(ks))
-    i = int(np.argmax(vals))
-    lo = float(ks[i - 1]) if i > 0 else float(ks[0])
-    hi = float(ks[i + 1]) if i < n_scan - 1 else float(ks[-1])
-    bracket = (lo, hi)
+    brackets = []
+    for cfg in cells:
+        ks = np.linspace(cfg.w * 1e-9, cfg.w * (1.0 - 1e-12), n_scan)
+        i = int(np.argmax(objective(ks, cfg.w, cfg.a, cfg.k0, cfg.L)))
+        brackets.append((float(ks[max(i - 1, 0)]), float(ks[min(i + 1, n_scan - 1)])))
+    lo, hi = np.array(brackets).T.copy()
+    w, a, k0, L = np.array([(cfg.w, cfg.a, cfg.k0, cfg.L) for cfg in cells]).T.copy()
     tol = tol_ka / a
-    c = hi - (hi - lo) * _INV_PHI
-    d = lo + (hi - lo) * _INV_PHI
-    fc, fd = float(objective(c)), float(objective(d))
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) * _INV_PHI
-            fc = float(objective(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) * _INV_PHI
-            fd = float(objective(d))
-    return SpectralMaximum(k_max=0.5 * (lo + hi), distorted=distortion_flag(cfg),
-                           bracket=bracket)
+    c, d = hi - (hi - lo) * _INV_PHI, lo + (hi - lo) * _INV_PHI
+    fc, fd = objective(c, w, a, k0, L), objective(d, w, a, k0, L)
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        left = fc[active] > fd[active]
+        lt, rt = active[left], active[~left]
+        hi[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        lo[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        c[lt] = hi[lt] - (hi[lt] - lo[lt]) * _INV_PHI
+        d[rt] = lo[rt] + (hi[rt] - lo[rt]) * _INV_PHI
+        f = objective(np.where(left, c[active], d[active]), *(x[active] for x in (w, a, k0, L)))
+        fc[lt], fd[rt] = f[left], f[~left]
+        active = active[hi[active] - lo[active] > tol[active]]
+    found = [SpectralMaximum(float(0.5 * (low + high)), distortion_flag(cfg), bracket)
+             for low, high, cfg, bracket in zip(lo, hi, cells, brackets)]
+    return found[0] if single else found
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's closed-form route: scattering
 amplitudes come from a 2x2 transfer-matrix product over the interfaces,
-derivatives come from central finite differences, and spectral sums are
-accumulated one momentum at a time instead of by FFT.
+derivatives come from central finite differences, spectral sums are
+accumulated one momentum at a time instead of by FFT, and the filtered
+spectrum's maximum is a 40-digit root of its logarithmic derivative.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 
@@ -64,3 +66,24 @@ def direct_spectral_sum(amp: np.ndarray, ks: np.ndarray, xs: np.ndarray,
         comp = (t - total) - y
         total = t
     return total
+
+
+def filtered_spectrum_argmax(w: float, a: float, k0: float, L: float,
+                             lo: float, hi: float) -> float:
+    """Root of d/dk log[g(k - k0)|T(k, L)|] at 40 digits; (lo, hi) must bracket it.
+
+    With rho = sqrt(w^2 - k^2) and h = w^4 sinh^2(rho L) / (4 k^2 rho^2),
+    log f = -a^2 (k - k0)^2 / 4 - log(1 + h) / 2 and
+    d log h/dk = -2 k L coth(rho L) / rho - 2/k + 2k / rho^2.
+    """
+    with mpmath.workdps(40):
+        w, a, k0, L = (mpmath.mpf(v) for v in (w, a, k0, L))
+
+        def slope(k):
+            rho = mpmath.sqrt(w * w - k * k)
+            h = w ** 4 * mpmath.sinh(rho * L) ** 2 / (4 * k * k * rho * rho)
+            dlog_h = -2 * k * L * mpmath.coth(rho * L) / rho - 2 / k + 2 * k / (rho * rho)
+            return -a * a * (k - k0) / 2 - h / (1 + h) * dlog_h / 2
+
+        return float(mpmath.findroot(slope, (mpmath.mpf(lo), mpmath.mpf(hi)),
+                                     solver="anderson"))

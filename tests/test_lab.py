@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tunnellab import lab
 from tunnellab.cli import main
 from tunnellab.lab import (
     ConfigError,
@@ -70,6 +71,69 @@ class TestParseConfig:
     def test_unknown_scenario(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
             parse_config("{}", scenario="frobnicate")
+
+
+class TestTable1WorkBound:
+    """table1 refuses an oversized grid before building anything.
+
+    These tests never run an oversized config: they call the size check
+    directly, or parse_config, which returns before any cell is built.
+    """
+
+    @staticmethod
+    def config(**overrides):
+        return {**lab.scenario_defaults("table1"), **overrides}
+
+    def test_default_grid(self):
+        assert lab._table1_rows(self.config()) == 21
+
+    def test_limit_is_inclusive(self):
+        limit = lab._TABLE1_MAX_CELLS
+        at = self.config(wa_values=[1.0], L_over_a_min=0.0, L_over_a_max=limit - 1.0,
+                         L_over_a_step=1.0)
+        assert lab._table1_rows(at) == limit
+        with pytest.raises(ConfigError, match="L_over_a_step"):
+            lab._table1_rows({**at, "L_over_a_max": float(limit)})
+        with pytest.raises(ConfigError, match="L_over_a_step"):
+            lab._table1_rows({**at, "wa_values": [1.0, 2.0]})
+
+    def test_tiny_step_rejected_at_parse(self):
+        text = json.dumps({"config": {"L_over_a_step": 1e-9}})
+        with pytest.raises(ConfigError, match="L_over_a_step = 1e-09 gives 1e\\+09 rows x 7"):
+            parse_config(text, scenario="table1")
+
+    def test_rows_bounded_without_wa_values(self):
+        text = json.dumps({"config": {"L_over_a_step": 1e-9, "wa_values": []}})
+        with pytest.raises(ConfigError, match="L_over_a_step"):
+            parse_config(text, scenario="table1")
+
+    def test_infinite_span_rejected(self):
+        for span in ((-1e308, 1e308), (0.0, 1e308)):
+            config = self.config(L_over_a_min=span[0], L_over_a_max=span[1], L_over_a_step=1e-300)
+            with pytest.raises(ConfigError, match="gives inf rows"):
+                lab._table1_rows(config)
+
+    def test_runner_checks_the_bound(self, monkeypatch):
+        spec = parse_config("{}", scenario="table1")
+        monkeypatch.setattr(lab, "_TABLE1_MAX_CELLS", 100)
+        with pytest.raises(ConfigError, match="gives 21 rows x 7 wa_values"):
+            run_scenario(spec)
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "fine.json"
+        config.write_text(json.dumps({"config": {"L_over_a_step": 1e-9}}))
+        assert main(["run", "table1", "--config", str(config),
+                     "--out", str(tmp_path / "t")]) == 2
+        assert "L_over_a_step" in capsys.readouterr().err
+        assert not list(tmp_path.glob("t*"))
+
+    def test_no_wa_values_gives_header_only_table(self, tmp_path, capsys):
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps({"config": {"wa_values": []}}))
+        assert main(["run", "table1", "--config", str(config), "--out", str(tmp_path / "t"),
+                     "--no-timestamp"]) == 0
+        lines = (tmp_path / "t_table1.csv").read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")] == ["wa,L_over_a,kmax_a"]
 
 
 class TestRunScenarios:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference
+from oracles import central_difference, filtered_spectrum_argmax
 
+from tunnellab import observables
 from tunnellab.core import PhysicalConfig, ZoneError, rho_n_squared
 from tunnellab.stationary import (
     Parity,
@@ -12,7 +13,9 @@ from tunnellab.stationary import (
     tunnel_amplitude_nr,
     tunnel_phase_derivative,
 )
+from tunnellab.lab import scenario_defaults
 from tunnellab.observables import (
+    SpectralMaximum,
     barrier_top_time,
     distortion_flag,
     distortion_threshold_length,
@@ -207,6 +210,106 @@ class TestSpectralMaximum:
         cfg = self.cfg(2.0, 0.5)
         bound = distortion_threshold_length(cfg)
         assert bound == pytest.approx(math.sqrt(1.5 * (1.0 - 0.5)), rel=1e-12)
+
+
+def table1_cells(k0a):
+    """The cells of the default table1 grid, built as the scenario builds them."""
+    config = scenario_defaults("table1")
+    lo, step = config["L_over_a_min"], config["L_over_a_step"]
+    n_rows = round((config["L_over_a_max"] - lo) / step) + 1
+    return [PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=lo + i * step, a=1.0, k0=k0a)
+            for i in range(n_rows) for wa in config["wa_values"]]
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Counts the calls kmax_find makes to its objective's |T|."""
+    calls = []
+    original = observables.nr_transmission_mag
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "nr_transmission_mag", counted)
+    return calls
+
+
+class TestLockstepSearch:
+    """kmax_find over a sequence runs one golden-section loop for every cell."""
+
+    @staticmethod
+    def random_cells(n=60, seed=7):
+        rng = np.random.default_rng(seed)
+        cells = []
+        for i in range(n):
+            w = float(rng.uniform(1.2, 25.0))
+            L = 0.0 if i % 6 == 0 else float(rng.uniform(0.0, 1.3))
+            a = float(rng.uniform(0.5, 2.0))
+            k0 = float(rng.uniform(0.05, 0.95)) * w
+            cells.append(PhysicalConfig(m=1.0, V0=w * w / 2.0, L=L, a=a, k0=k0))
+        return cells
+
+    def test_sequence_equals_scalar_calls(self):
+        cells = table1_cells(1.0) + table1_cells(1.1) + self.random_cells()
+        assert len(cells) == 294 + 60
+        found = kmax_find(cells)
+        assert found == [kmax_find(cfg) for cfg in cells]
+        assert any(result.distorted for result in found)
+
+    def test_scalar_call_returns_one_maximum(self):
+        result = kmax_find(table1_cells(1.0)[30])
+        assert isinstance(result, SpectralMaximum)
+        assert isinstance(result.k_max, float)
+        assert all(isinstance(edge, float) for edge in result.bracket)
+
+    def test_empty_sequence(self, objective_calls):
+        assert kmax_find([]) == []
+        assert kmax_find(iter(())) == []
+        assert objective_calls == []
+
+    def test_bad_cell_raises_before_any_objective_call(self, objective_calls):
+        cells = table1_cells(1.0)[:5]
+        cells.insert(3, PhysicalConfig(m=1.0, V0=0.5, L=0.5, a=1.0, k0=1.5))
+        with pytest.raises(ZoneError, match="0 < k0 < w"):
+            kmax_find(cells)
+        assert objective_calls == []
+
+    def test_one_objective_call_per_iteration(self, objective_calls):
+        cells = table1_cells(1.0)
+        assert len(cells) == 147
+        kmax_find(cells)
+        # 147 scans of 2000 points, the two first probes, then 31 iterations:
+        # the widest bracket (wa = 20) takes 31, the narrowest (wa = 1.5) 25
+        assert len(objective_calls) == 180
+        assert objective_calls[:147] == [2000] * 147
+        assert objective_calls[147:149] == [147, 147]
+        probes = objective_calls[149:]
+        assert probes[0] == 147 and probes[-1] == sum(cfg.w == 20.0 for cfg in cells)
+        assert probes == sorted(probes, reverse=True)
+
+
+class TestSpectralMaximumOracle:
+    """k_max against a 40-digit root of d log f/dk, f = g(k - k0)|T(k, L)|.
+
+    The objective is flat to rounding at its maximum, so tol_ka = 1e-8 bounds
+    the final bracket but not the error: over the 278 undistorted cells of
+    both benchmark variants the error has median 1.0e-8 and worst 6.9e-8
+    (the first cell below).
+    """
+
+    # (k0 a, w a, L/a step index on the 0.05 grid)
+    CELLS = ((1.1, 10.0, 19), (1.0, 20.0, 17), (1.1, 20.0, 13), (1.1, 6.0, 15),
+             (1.0, 4.0, 4), (1.0, 1.5, 10), (1.1, 2.0, 6), (1.0, 10.0, 1))
+
+    def test_error_and_bracket(self):
+        for k0a, wa, step in self.CELLS:
+            cfg = PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=step * 0.05, a=1.0, k0=k0a)
+            result = kmax_find(cfg)
+            assert not result.distorted
+            truth = filtered_spectrum_argmax(cfg.w, cfg.a, cfg.k0, cfg.L, *result.bracket)
+            assert result.bracket[0] < truth < result.bracket[1]
+            assert abs(result.k_max - truth) <= 1e-7, (k0a, wa, step)
 
 
 class TestSymmetricTriple:
