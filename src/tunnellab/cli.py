@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 from .lab import (
     SCENARIO_NAMES,
@@ -61,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             try:
-                text = open(args.config, "r", encoding="utf-8").read()
+                text = Path(args.config).read_text(encoding="utf-8")
             except OSError as exc:
                 print(f"tunnellab: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_IO

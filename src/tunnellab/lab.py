@@ -15,15 +15,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .core import PhysicalConfig, ZoneError
-from .stationary import (
-    Parity,
-    relativistic_transmission,
-)
+from .stationary import Parity, relativistic_transmission
 from .observables import (
     hartman_curve_nr,
     hartman_curve_relativistic,
@@ -98,75 +96,108 @@ class ResultTable:
     name: str
     columns: list[str]
     rows: list[tuple]
-    provenance: dict
+    provenance: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
 # configuration parsing
 # ---------------------------------------------------------------------------
 
-_SCENARIO_DEFAULTS: dict[str, dict] = {
-    "free-packet": {
-        "m": 1.0, "a": 1.0, "k0": 2.0, "x0": -10.0,
-        "t_max": 4.0, "t_steps": 9, "n_x": 2001,
-    },
-    "above-barrier-naive": {
-        "wa": 1.0e4, "k0_over_w": math.sqrt(2.0), "L_over_a": 5.0,
-        "n_snapshots": 6, "n_x": 801,
-    },
-    "multipeak": {
-        "wa": 1.0e4, "k0_over_w": math.sqrt(10.0) / 3.0, "L_over_a": 5.0,
-        "n_terms": 3, "n_snapshots": 6, "n_x": 801,
-    },
-    "confront": {
-        "wa": 1.0e4, "k0_over_w": 5.0 * math.sqrt(2.0) / 7.0, "L_over_a": 0.8,
-        "n_terms": 3, "n_snapshots": 6, "n_x": 601,
-    },
-    "table1": {
-        "k0a": 1.0,
-        "wa_values": [1.5, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0],
-        "L_over_a_min": 0.0, "L_over_a_max": 1.0, "L_over_a_step": 0.05,
-    },
-    "nr-phase": {
-        "n_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-        "alpha_min": 0.05, "alpha_max": 30.0, "alpha_steps": 120,
-        "saturation_tol": 1e-6,
-    },
-    "symmetric-times": {
-        "wL": 4.0 * math.pi, "n_min": 0.02, "n_max": 0.98, "n_steps": 97,
-    },
-    "relativistic-times": {
-        "wL": 2.0 * math.pi, "upsilon_values": [0.0, 1.0, 2.0, 5.0, 10.0],
-        "n_sq_steps": 101, "edge_margin": 1e-3,
-    },
-    "hartman": {
-        "n_values": [0.1, 0.3, 0.5, 0.7, 0.9],
-        "alpha_max": 60.0, "alpha_steps": 240, "saturation_tol": 1e-6,
-        "upsilon": 5.0, "wL": 2.0 * math.pi,
-    },
-}
+_MAX_POINTS = 10_000_000   # work limit of every scenario, see _work
+_TABLE1_MAX_CELLS = 100_000
+_HARTMAN_EDGE_MARGIN = 1e-3
 
-SCENARIO_NAMES = tuple(sorted(_SCENARIO_DEFAULTS))
 
-_SWEEPABLE: dict[str, str] = {
-    "free-packet": "t",
-    "nr-phase": "alpha",
-    "symmetric-times": "n",
-    "relativistic-times": "n_sq",
-}
+def _table1_rows(config: dict) -> int:
+    """Rows of the table1 L/a grid; ConfigError past _TABLE1_MAX_CELLS rows x wa_values."""
+    span = (config["L_over_a_max"] - config["L_over_a_min"]) / config["L_over_a_step"]
+    n_rows = round(span) + 1 if math.isfinite(span) else math.inf
+    n_wa = len(config["wa_values"])
+    if n_rows * max(n_wa, 1) > _TABLE1_MAX_CELLS:   # the rows are built even with no wa
+        raise ConfigError(f"L_over_a_step = {config['L_over_a_step']!r} gives {n_rows:.6g} rows"
+                          f" x {n_wa} wa_values; table1 allows {_TABLE1_MAX_CELLS} cells")
+    return n_rows
+
+
+@dataclass(frozen=True)
+class _Scenario:   # one entry of _SCHEMA, the table after the runners
+    keys: dict                  # key -> (default, rule), see _coerce
+    work: tuple                 # factors of the work estimate, see _work
+    run: Callable               # the runner: (config, sweep) -> list[ResultTable]
+    sweep: tuple | None = None  # (sweep parameter, the steps key its steps replace)
 
 
 def scenario_defaults(name: str) -> dict:
-    if name not in _SCENARIO_DEFAULTS:
+    if name not in _SCHEMA:
         raise ScenarioError(f"unknown scenario {name!r}; choose one of {', '.join(SCENARIO_NAMES)}")
-    return dict(_SCENARIO_DEFAULTS[name])
+    return {key: (list(default) if isinstance(default, list) else default)
+            for key, (default, _) in _SCHEMA[name].keys.items()}
+
+
+def _coerce(key: str, value, default, rule: str, known: dict):
+    """``value`` as the type of ``default``, inside ``rule``; ConfigError naming ``key``.
+
+    The default's type is the key's type: an int is a count, a float a
+    number, a list a list of numbers. Bools, strings, non-finite numbers and
+    non-integral counts are rejected. The rule is an interval such as
+    "(0, inf)" or "[1, inf)"; an end that is not a number is the value of an
+    earlier key, read from ``known``.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+        return [_coerce(key, item, 0.0, rule, known) for item in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:          # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    if isinstance(default, int):
+        if not number.is_integer():
+            raise ConfigError(f"{key} must be an integer count, got {value!r}")
+        number = int(number)
+    lo, hi = (known[end] if end in known else float(end) for end in rule[1:-1].split(", "))
+    if not ((lo < number if rule[0] == "(" else lo <= number)
+            and (number < hi if rule[-1] == ")" else number <= hi)):
+        raise ConfigError(f"{key} must lie in {rule}, got {value!r}")
+    return number
+
+
+def _work(name: str, config: dict, sweep: Sweep | None = None) -> float:
+    """Work estimate of a scenario: the product of its work factors.
+
+    A key counts its value, or its list's length (at least 1, since the
+    steps grid is built even for an empty list); a sweep's steps replace the
+    steps key it stands for; an int is a weight; a callable reads the config.
+    """
+    scenario = _SCHEMA[name]
+    size = 1.0
+    for factor in scenario.work:
+        if callable(factor):
+            size *= factor(config)
+        elif isinstance(factor, int):
+            size *= factor
+        elif sweep is not None and factor == scenario.sweep[1]:
+            size *= sweep.steps
+        else:
+            value = config[factor]
+            size *= max(len(value), 1) if isinstance(value, list) else value
+    if size > _MAX_POINTS:
+        factors = " x ".join(str(f) for f in scenario.work if not callable(f))
+        raise ConfigError(f"{factors} gives {size:.6g} points; {name} allows {_MAX_POINTS}")
+    return size
 
 
 def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
     """Parse a JSON scenario configuration in strict mode.
 
     Recognized top-level keys: scenario, config, sweep, output.  Unknown keys
-    anywhere are rejected; parse errors carry line/column positions.
+    anywhere are rejected; parse errors carry line/column positions.  Every
+    value is checked against the schema and stored as its key's type, and the
+    work estimate is checked before anything is built.
     """
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -184,94 +215,44 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
     if scenario is not None and raw.get("scenario") not in (None, scenario):
         raise ConfigError(
             f"config names scenario {raw['scenario']!r} but {scenario!r} was requested")
-    if name not in _SCENARIO_DEFAULTS:
+    if name not in _SCHEMA:
         raise ScenarioError(f"unknown scenario {name!r}; choose one of {', '.join(SCENARIO_NAMES)}")
 
-    defaults = scenario_defaults(name)
+    schema = _SCHEMA[name]
     overrides = raw.get("config", {})
     if not isinstance(overrides, dict):
         raise ConfigError("'config' must be an object")
-    unknown = set(overrides) - set(defaults)
+    unknown = set(overrides) - set(schema.keys)
     if unknown:
         raise ConfigError(
             f"unknown config keys for scenario {name!r}: {', '.join(sorted(unknown))}")
-    config = {**defaults, **overrides}
-    _validate_config(name, config)
+    config: dict = {}
+    for key, (default, rule) in schema.keys.items():
+        config[key] = _coerce(key, overrides.get(key, default), default, rule, config)
 
     sweep = None
     if raw.get("sweep") is not None:
         sw = raw["sweep"]
-        if not isinstance(sw, dict):
-            raise ConfigError("'sweep' must be an object")
-        unknown = set(sw) - {"parameter", "min", "max", "steps"}
-        if unknown:
-            raise ConfigError(f"unknown sweep keys: {', '.join(sorted(unknown))}")
-        try:
-            sweep = Sweep(parameter=str(sw["parameter"]), min=float(sw["min"]),
-                          max=float(sw["max"]), steps=int(sw["steps"]))
-        except KeyError as exc:
-            raise ConfigError(f"sweep is missing key {exc.args[0]!r}") from exc
-        if sweep.steps < 2:
-            raise ConfigError("sweep needs steps >= 2")
-        if not sweep.min < sweep.max:
-            raise ConfigError("sweep needs min < max")
-        allowed = _SWEEPABLE.get(name)
-        if allowed is None:
+        if not isinstance(sw, dict) or set(sw) != {"parameter", *_SWEEP_KEYS}:
+            raise ConfigError(f"'sweep' must be an object with exactly the keys parameter,"
+                              f" min, max and steps; got {sw!r}")
+        if schema.sweep is None:
             raise ConfigError(f"scenario {name!r} does not accept a sweep")
-        if sweep.parameter != allowed:
+        if sw["parameter"] != schema.sweep[0]:
             raise ConfigError(
-                f"scenario {name!r} sweeps over {allowed!r}, not {sweep.parameter!r}")
+                f"scenario {name!r} sweeps over {schema.sweep[0]!r}, not {sw['parameter']!r}")
+        fields: dict = {}
+        for key, (default, rule) in _SWEEP_KEYS.items():
+            fields[key] = _coerce(f"sweep {key}", sw[key], default, rule, fields)
+        if not fields["min"] < fields["max"]:
+            raise ConfigError("sweep needs min < max")
+        sweep = Sweep(parameter=schema.sweep[0], **fields)
 
+    _work(name, config, sweep)
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("'output' must be a string path prefix")
     return ScenarioSpec(name=name, config=config, sweep=sweep, output=output)
-
-
-_TABLE1_MAX_CELLS = 100_000
-
-
-def _table1_rows(config: dict) -> int:
-    """Rows of the table1 L/a grid; ConfigError past _TABLE1_MAX_CELLS rows x wa_values."""
-    span = (config["L_over_a_max"] - config["L_over_a_min"]) / config["L_over_a_step"]
-    n_rows = round(span) + 1 if math.isfinite(span) else math.inf
-    n_wa = len(config["wa_values"])
-    if n_rows * max(n_wa, 1) > _TABLE1_MAX_CELLS:   # the rows are built even with no wa
-        raise ConfigError(f"L_over_a_step = {config['L_over_a_step']!r} gives {n_rows:.6g} rows"
-                          f" x {n_wa} wa_values; table1 allows {_TABLE1_MAX_CELLS} cells")
-    return n_rows
-
-
-def _validate_config(name: str, config: dict) -> None:
-    def positive(key):
-        if not (isinstance(config[key], (int, float)) and config[key] > 0):
-            raise ConfigError(f"{key} must be a positive number, got {config[key]!r}")
-
-    for key, value in config.items():
-        if isinstance(value, bool) or value is None:
-            raise ConfigError(f"{key} must be numeric or a list, got {value!r}")
-    if name == "free-packet":
-        for key in ("m", "a", "k0", "t_max"):
-            positive(key)
-    elif name in ("above-barrier-naive", "multipeak", "confront"):
-        for key in ("wa", "L_over_a"):
-            positive(key)
-        if config["k0_over_w"] <= 1.0:
-            raise ConfigError("k0_over_w must exceed 1 (above-barrier scenarios)")
-    elif name == "table1":
-        positive("k0a")
-        positive("L_over_a_step")
-        if config["L_over_a_min"] > config["L_over_a_max"]:
-            raise ConfigError("L_over_a_min must not exceed L_over_a_max")
-        _table1_rows(config)
-    elif name == "symmetric-times":
-        positive("wL")
-        if not 0.0 < config["n_min"] < config["n_max"] < 1.0:
-            raise ConfigError("need 0 < n_min < n_max < 1")
-    elif name == "relativistic-times":
-        positive("wL")
-    elif name in ("nr-phase", "hartman"):
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +264,24 @@ def _rows(columns) -> list[tuple]:
     return list(zip(*(np.asarray(col, dtype=float).tolist() for col in columns)))
 
 
+def _zone_bounds(upsilon: float, margin: float) -> tuple[float, float]:
+    """n^2 bounds of the tunneling zone (n^2 - upsilon/2)^2 < 1, moved in by margin."""
+    return max(0.5 * upsilon - 1.0, 0.0) + margin, 0.5 * upsilon + 1.0 - margin
+
+
 def _above_barrier_cfg(config: dict) -> PhysicalConfig:
     a = 1.0
     w = config["wa"] / a
     k0 = config["k0_over_w"] * w
     L = config["L_over_a"] * a
-    x0 = -k0 * L / (2.0 * math.sqrt(k0 * k0 - w * w)) if L > 0 else -5.0 * a
+    x0 = -k0 * L / (2.0 * math.sqrt(k0 * k0 - w * w))
     return PhysicalConfig.above_barrier(m=1.0 / (a * a), V0=w * w * a * a / 2.0,
                                         L=L, a=a, k0=k0, x0=x0)
 
 
 def _snapshot_times(cfg: PhysicalConfig, n_snapshots: int) -> list[float]:
     q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
-    unit = cfg.m * cfg.L / q0 if cfg.L > 0 else cfg.m * cfg.a / cfg.k0
+    unit = cfg.m * cfg.L / q0
     return [n * unit for n in range(n_snapshots)]
 
 
@@ -303,15 +289,13 @@ def _run_free_packet(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     cfg = PhysicalConfig(m=config["m"], V0=1.0, L=0.0, a=config["a"],
                          k0=config["k0"], x0=config["x0"])
     # sweep and default both quote t in units of the spreading time m a^2
-    if sweep is not None:
-        times = sweep.values() * cfg.m * cfg.a ** 2
-    else:
-        times = np.linspace(0.0, config["t_max"] * cfg.m * cfg.a ** 2, int(config["t_steps"]))
+    times = (sweep.values() * cfg.m * cfg.a ** 2 if sweep else
+             np.linspace(0.0, config["t_max"] * cfg.m * cfg.a ** 2, config["t_steps"]))
     rows = []
     for t in times:
         center = free_gaussian_peak(float(t), cfg)
         spread = cfg.a * math.sqrt(1.0 + (2.0 * t / (cfg.m * cfg.a ** 2)) ** 2)
-        grid = SpatialGrid(center - 12.0 * spread, center + 12.0 * spread, int(config["n_x"]))
+        grid = SpatialGrid(center - 12.0 * spread, center + 12.0 * spread, config["n_x"])
         fld = WaveField(grid=grid, values=np.asarray(free_gaussian(grid.x, float(t), cfg)),
                         t=float(t), component_tag="free")
         pk = field_peak(fld)
@@ -320,7 +304,7 @@ def _run_free_packet(config: dict, sweep: Sweep | None) -> list[ResultTable]:
         name="free_packet",
         columns=["t", "x_peak_predicted", "x_peak_measured", "norm"],
         rows=rows,
-        provenance={"grid.n_x": int(config["n_x"])},
+        provenance={"grid.n_x": config["n_x"]},
     )]
 
 
@@ -331,15 +315,10 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
     summary = ResultTable(
         name="naive_times",
         columns=["x", "t_incident", "t_reflected", "t_alpha", "t_beta", "t_transmitted"],
-        rows=[
-            (0.0, times_at.incident, times_at.reflected, times_at.alpha,
-             times_at.beta, times_at.transmitted),
-            (cfg.L, times_at_L.incident, times_at_L.reflected, times_at_L.alpha,
-             times_at_L.beta, times_at_L.transmitted),
-        ],
-        provenance={},
+        rows=[(x, t.incident, t.reflected, t.alpha, t.beta, t.transmitted)
+              for x, t in ((0.0, times_at), (cfg.L, times_at_L))],
     )
-    snapshots = _snapshot_times(cfg, int(config["n_snapshots"]))
+    snapshots = _snapshot_times(cfg, config["n_snapshots"])
     rows = []
     for idx, t in enumerate(snapshots):
         for tag in ("incident", "reflected", "alpha", "beta", "transmitted"):
@@ -349,7 +328,6 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
         name="naive_peak_positions",
         columns=["snapshot", "t", "component", "x_peak_naive"],
         rows=rows,
-        provenance={},
     )
     return [summary, peaks]
 
@@ -357,21 +335,18 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
 def _run_multipeak(config: dict, sweep) -> list[ResultTable]:
     cfg = _above_barrier_cfg(config)
     q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
-    n_terms = int(config["n_terms"])
-    snapshots = _snapshot_times(cfg, int(config["n_snapshots"]))
-    n_x = int(config["n_x"])
+    n_terms, n_x = config["n_terms"], config["n_x"]
+    snapshots = _snapshot_times(cfg, config["n_snapshots"])
     span = 22.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
     regions = {
         "reflected": SpatialGrid(-span, 0.0, n_x),
-        "alpha": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)) if cfg.L > 0 else None,
-        "beta": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)) if cfg.L > 0 else None,
+        "alpha": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)),
+        "beta": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)),
         "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x),
     }
     rows = []
     for idx, t in enumerate(snapshots):
         for tag, grid in regions.items():
-            if grid is None:
-                continue
             fld = multipeak_partial_sum_field(tag, n_terms, grid, t, cfg)
             pk = field_peak(fld)
             rows.append((idx, t, tag, pk.x, pk.density))
@@ -379,23 +354,20 @@ def _run_multipeak(config: dict, sweep) -> list[ResultTable]:
         name="multipeak_peaks",
         columns=["snapshot", "t", "component", "x_peak", "density_peak"],
         rows=rows,
-        provenance={"config.n_terms": n_terms},
     )
     round_trip = ResultTable(
         name="multipeak_recurrence",
         columns=["quantity", "value"],
         rows=[("one_way_transit", cfg.m * cfg.L / q0),
               ("round_trip_delay", 2.0 * cfg.m * cfg.L / q0)],
-        provenance={},
     )
     return [peaks, round_trip]
 
 
 def _run_confront(config: dict, sweep) -> list[ResultTable]:
     cfg = _above_barrier_cfg(config)
-    n_terms = int(config["n_terms"])
-    n_x = int(config["n_x"])
-    snapshots = _snapshot_times(cfg, int(config["n_snapshots"]))
+    n_terms, n_x = config["n_terms"], config["n_x"]
+    snapshots = _snapshot_times(cfg, config["n_snapshots"])
     q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
     span = 20.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
     grids = {
@@ -426,24 +398,22 @@ def _run_confront(config: dict, sweep) -> list[ResultTable]:
         name="confront_summary",
         columns=["snapshot", "t", "component", "max_abs_density_diff", "density_peak_numeric"],
         rows=[r[0] for r in results],
-        provenance={"config.n_terms": n_terms, "grid.n_x": n_x},
+        provenance={"grid.n_x": n_x},
     )
     fields = ResultTable(
         name="confront_fields",
         columns=["snapshot", "t", "component", "x", "density_analytic", "density_numeric"],
         rows=[row for r in results for row in r[1]],
-        provenance={"config.n_terms": n_terms, "grid.n_x": n_x,
-                    "grid.sample_stride": sample_stride},
+        provenance={"grid.n_x": n_x, "grid.sample_stride": sample_stride},
     )
     return [diffs, fields]
 
 
 def _run_table1(config: dict, sweep) -> list[ResultTable]:
-    k0a = config["k0a"]
     L_values = [config["L_over_a_min"] + i * config["L_over_a_step"]
                 for i in range(_table1_rows(config))]
-    cells = [(float(wa), Lba) for Lba in L_values for wa in config["wa_values"]]
-    found = kmax_find([PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=Lba, a=1.0, k0=k0a)
+    cells = [(wa, Lba) for Lba in L_values for wa in config["wa_values"]]
+    found = kmax_find([PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=Lba, a=1.0, k0=config["k0a"])
                        for wa, Lba in cells])
     rows = [(wa, Lba, "*" if result.distorted else result.k_max)
             for (wa, Lba), result in zip(cells, found)]
@@ -451,21 +421,17 @@ def _run_table1(config: dict, sweep) -> list[ResultTable]:
         name="table1",
         columns=["wa", "L_over_a", "kmax_a"],
         rows=rows,
-        provenance={"config.k0a": k0a, "grid.n_scan": 2000, "grid.tol_ka": 1e-8},
+        provenance={"grid.n_scan": 2000, "grid.tol_ka": 1e-8},
     )]
 
 
 def _run_nr_phase(config: dict, sweep: Sweep | None) -> list[ResultTable]:
-    if sweep is not None:
-        alphas = sweep.values()
-    else:
-        alphas = np.linspace(config["alpha_min"], config["alpha_max"],
-                             int(config["alpha_steps"]))
+    alphas = sweep.values() if sweep else np.linspace(config["alpha_min"], config["alpha_max"],
+                                                      config["alpha_steps"])
     rows = []
     sat_rows = []
     for n in config["n_values"]:
-        n = float(n)
-        curve = hartman_curve_nr(n, alphas, tol=float(config["saturation_tol"]))
+        curve = hartman_curve_nr(n, alphas, tol=config["saturation_tol"])
         boson = np.atleast_1d(np.asarray(symmetric_phase_time(n, alphas, Parity.SYMMETRIC)))
         fermion = np.atleast_1d(np.asarray(symmetric_phase_time(n, alphas, Parity.ANTISYMMETRIC)))
         for a, rate, ratio, tb, tf in zip(curve.parameter, curve.t_over_tau,
@@ -477,19 +443,16 @@ def _run_nr_phase(config: dict, sweep: Sweep | None) -> list[ResultTable]:
         ResultTable(name="one_way_rate",
                     columns=["n", "alpha", "t_over_tau", "ratio_to_opaque_limit",
                              "t_over_tau_boson", "t_over_tau_fermion"],
-                    rows=rows, provenance={}),
+                    rows=rows),
         ResultTable(name="opaque_saturation",
-                    columns=["n", "alpha_saturation"], rows=sat_rows,
-                    provenance={"config.saturation_tol": config["saturation_tol"]}),
+                    columns=["n", "alpha_saturation"], rows=sat_rows),
     ]
 
 
 def _run_symmetric_times(config: dict, sweep: Sweep | None) -> list[ResultTable]:
-    wL = float(config["wL"])
-    if sweep is not None:
-        ns = sweep.values()
-    else:
-        ns = np.linspace(config["n_min"], config["n_max"], int(config["n_steps"]))
+    wL = config["wL"]
+    ns = sweep.values() if sweep else np.linspace(config["n_min"], config["n_max"],
+                                                  config["n_steps"])
     alpha = wL * np.sqrt(1.0 - ns)
     columns = [ns, alpha]
     for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
@@ -505,22 +468,15 @@ def _run_symmetric_times(config: dict, sweep: Sweep | None) -> list[ResultTable]
                  "t_phase_minus", "t_dwell_minus", "t_self_minus", "identity_minus",
                  "t_one_way"],
         rows=_rows(columns),
-        provenance={"config.wL": wL},
     )]
 
 
 def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTable]:
-    wL = float(config["wL"])
-    margin = float(config["edge_margin"])
+    wL = config["wL"]
     rows = []
     for upsilon in config["upsilon_values"]:
-        upsilon = float(upsilon)
-        lo = max(0.5 * upsilon - 1.0, 0.0) + margin
-        hi = 0.5 * upsilon + 1.0 - margin
-        if sweep is not None:
-            ns = sweep.values()
-        else:
-            ns = np.linspace(lo, hi, int(config["n_sq_steps"]))
+        ns = sweep.values() if sweep else np.linspace(
+            *_zone_bounds(upsilon, config["edge_margin"]), config["n_sq_steps"])
         ns = ns[(ns > 0.0) & (np.abs(ns - 0.5 * upsilon) < 1.0)]
         if ns.size == 0:
             continue
@@ -539,17 +495,14 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTab
         columns=["upsilon", "n_sq", "T_sq", "phase", "t_phase", "t_dwell",
                  "t_dwell_rescaled", "t_self", "identity_residual"],
         rows=rows,
-        provenance={"config.wL": wL},
     )]
 
 
 def _run_hartman(config: dict, sweep) -> list[ResultTable]:
-    alphas = np.linspace(0.5, float(config["alpha_max"]), int(config["alpha_steps"]))
-    tol = float(config["saturation_tol"])
+    alphas = np.linspace(0.5, config["alpha_max"], config["alpha_steps"])
     rows = []
     for n in config["n_values"]:
-        n = float(n)
-        nr = hartman_curve_nr(n, alphas, tol=tol)
+        nr = hartman_curve_nr(n, alphas, tol=config["saturation_tol"])
         rows.append(("one-way", n,
                      nr.saturation_parameter if nr.saturation_parameter is not None else math.nan,
                      float(nr.ratio_to_limit[-1])))
@@ -560,31 +513,77 @@ def _run_hartman(config: dict, sweep) -> list[ResultTable]:
             rows.append((f"symmetric-{label}", n,
                          sym.saturation_parameter if sym.saturation_parameter is not None else math.nan,
                          float(sym.t_over_tau[-1])))
-    upsilon, wL = float(config["upsilon"]), float(config["wL"])
-    lo = max(0.5 * upsilon - 1.0, 0.0) + 1e-3
-    hi = 0.5 * upsilon + 1.0 - 1e-3
-    rel = hartman_curve_relativistic(upsilon, wL, np.linspace(lo, hi, 101))
+    upsilon = config["upsilon"]
+    rel = hartman_curve_relativistic(upsilon, config["wL"],
+                                     np.linspace(*_zone_bounds(upsilon, _HARTMAN_EDGE_MARGIN), 101))
     finite = bool(np.all(np.isfinite(rel.t_over_tau)))
     rows.append(("relativistic", upsilon, math.nan, float(np.max(np.abs(rel.t_over_tau)))))
     return [ResultTable(
         name="hartman_saturation",
         columns=["family", "parameter", "alpha_saturation", "terminal_value"],
         rows=rows,
-        provenance={"config.saturation_tol": tol, "relativistic_curve_finite": finite},
+        provenance={"relativistic_curve_finite": finite},
     )]
 
 
-_RUNNERS = {
-    "free-packet": _run_free_packet,
-    "above-barrier-naive": _run_above_barrier_naive,
-    "multipeak": _run_multipeak,
-    "confront": _run_confront,
-    "table1": _run_table1,
-    "nr-phase": _run_nr_phase,
-    "symmetric-times": _run_symmetric_times,
-    "relativistic-times": _run_relativistic_times,
-    "hartman": _run_hartman,
+# ---------------------------------------------------------------------------
+# the scenario table
+# ---------------------------------------------------------------------------
+
+_WL_MAX = 1e2   # the largest decade of wL at which every scenario runs without overflow
+_POSITIVE, _ANY, _WL = "(0, inf)", "(-inf, inf)", f"(0, {_WL_MAX:g}]"
+_STEPS = "[1, inf)"
+_ABOVE_BARRIER = {"wa": (1.0e4, _POSITIVE), "k0_over_w": (math.sqrt(2.0), "(1, inf)"),
+                  "L_over_a": (5.0, _POSITIVE), "n_snapshots": (6, _STEPS),
+                  "n_x": (801, "[2, inf)")}
+
+# Work factors: a key counts its value (or its list's length, at least 1); an
+# int weighs grids per snapshot, columns per row or quadrature nodes per row.
+_SCHEMA: dict[str, _Scenario] = {
+    "free-packet": _Scenario(
+        {"m": (1.0, _POSITIVE), "a": (1.0, _POSITIVE), "k0": (2.0, _POSITIVE),
+         "x0": (-10.0, _ANY), "t_max": (4.0, _POSITIVE), "t_steps": (9, _STEPS),
+         "n_x": (2001, "[2, inf)")},
+        work=("t_steps", "n_x"), sweep=("t", "t_steps"), run=_run_free_packet),
+    "above-barrier-naive": _Scenario(
+        _ABOVE_BARRIER, work=("n_snapshots", 5), run=_run_above_barrier_naive),
+    "multipeak": _Scenario(
+        {**_ABOVE_BARRIER, "k0_over_w": (math.sqrt(10.0) / 3.0, "(1, inf)"),
+         "n_terms": (3, _STEPS)},
+        work=("n_snapshots", "n_terms", "n_x", 3), run=_run_multipeak),
+    "confront": _Scenario(
+        {**_ABOVE_BARRIER, "k0_over_w": (5.0 * math.sqrt(2.0) / 7.0, "(1, inf)"),
+         "L_over_a": (0.8, _POSITIVE), "n_terms": (3, _STEPS), "n_x": (601, "[2, inf)")},
+        work=("n_snapshots", "n_terms", "n_x", 4), run=_run_confront),
+    "table1": _Scenario(
+        {"k0a": (1.0, _POSITIVE), "wa_values": ([1.5, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0], _POSITIVE),
+         "L_over_a_min": (0.0, "[0, inf)"), "L_over_a_max": (1.0, "[L_over_a_min, inf)"),
+         "L_over_a_step": (0.05, _POSITIVE)},
+        work=(_table1_rows, "wa_values"), run=_run_table1),
+    "nr-phase": _Scenario(
+        {"n_values": ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], "(0, 1)"),
+         "alpha_min": (0.05, "[0, inf)"), "alpha_max": (30.0, "(alpha_min, inf)"),
+         "alpha_steps": (120, _STEPS), "saturation_tol": (1e-6, _POSITIVE)},
+        work=("n_values", "alpha_steps", 6), sweep=("alpha", "alpha_steps"), run=_run_nr_phase),
+    "symmetric-times": _Scenario(
+        {"wL": (4.0 * math.pi, _WL), "n_min": (0.02, "(0, 1)"), "n_max": (0.98, "(n_min, 1)"),
+         "n_steps": (97, _STEPS)},
+        work=("n_steps", 11), sweep=("n", "n_steps"), run=_run_symmetric_times),
+    "relativistic-times": _Scenario(
+        {"wL": (2.0 * math.pi, _WL), "upsilon_values": ([0.0, 1.0, 2.0, 5.0, 10.0], "[0, inf)"),
+         "n_sq_steps": (101, _STEPS), "edge_margin": (1e-3, "[0, 1)")},
+        work=("upsilon_values", "n_sq_steps", 160), sweep=("n_sq", "n_sq_steps"),
+        run=_run_relativistic_times),
+    "hartman": _Scenario(
+        {"n_values": ([0.1, 0.3, 0.5, 0.7, 0.9], "(0, 1)"), "alpha_max": (60.0, "(0.5, inf)"),
+         "alpha_steps": (240, _STEPS), "saturation_tol": (1e-6, _POSITIVE),
+         "upsilon": (5.0, "[0, inf)"), "wL": (2.0 * math.pi, _WL)},
+        work=("n_values", "alpha_steps", 3), run=_run_hartman),
 }
+
+_SWEEP_KEYS = {"min": (0.0, _ANY), "max": (0.0, _ANY), "steps": (2, "[2, inf)")}
+
+SCENARIO_NAMES = tuple(sorted(_SCHEMA))
 
 
 def run_scenario(spec: ScenarioSpec, threads: int = 1) -> list[ResultTable]:
@@ -593,10 +592,10 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> list[ResultTable]:
     ``threads`` is accepted for compatibility and ignored: every scenario
     runs in the calling thread.
     """
-    if spec.name not in _RUNNERS:
+    if spec.name not in _SCHEMA:
         raise ScenarioError(f"unknown scenario {spec.name!r}; choose one of {', '.join(SCENARIO_NAMES)}")
     try:
-        tables = _RUNNERS[spec.name](spec.config, spec.sweep)
+        tables = _SCHEMA[spec.name].run(spec.config, spec.sweep)
     except (ConfigError, ScenarioError):
         raise
     except (ZoneError, ValueError) as exc:

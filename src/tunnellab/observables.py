@@ -28,6 +28,7 @@ from .core import (
     rho_n_squared,
 )
 from .stationary import (
+    _SCALE_ARG,
     Parity,
     above_barrier_phase_derivative,
     kg_scatter_coeffs,
@@ -73,7 +74,6 @@ __all__ = [
 ]
 
 _SERIES_EPS = 1e-6    # small-argument switch for 0/0-prone boundary evaluations
-_SCALE_ARG = 300.0    # above this, sinh/cosh are evaluated in scaled form
 _SINH_SERIES_X = 0.5  # below this, sinh(x) - x and sinh(2x) - 2x are summed as series
 _FIELD_ROWS = 1024    # rows per (rows x n_quad) interior field of the identity check
 

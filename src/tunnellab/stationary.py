@@ -34,6 +34,8 @@ from .core import (
     rho_n_squared,
 )
 
+_SCALE_ARG = 300.0    # above this, sinh/cosh are evaluated in scaled form
+
 __all__ = [
     "Parity",
     "ScatterCoeffs",
@@ -421,7 +423,9 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
     phi(n, L) = atan2((n^2 - rho_n^2) tanh(rho_n wL), 2 n rho_n)
 
     with rho_n from :func:`tunnellab.core.rho_n_squared`.  At upsilon = 0 this
-    is exactly the non-relativistic pair (|T|, theta).  Returns (T_mag, phi).
+    is exactly the non-relativistic pair (|T|, theta).  Above rho_n wL =
+    _SCALE_ARG |T| is evaluated in scaled form, so it underflows to 0 instead
+    of overflowing.  Returns (T_mag, phi).
     """
     n_sq = np.asarray(n_sq, dtype=float)
     zone_d = np.abs(n_sq - 0.5 * upsilon)
@@ -437,10 +441,17 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
     x = rn * wL
     # sinh^2(x)/rn_sq -> (wL)^2 (1 + x^2/3) at the zone edge
     small = x < 1e-6
-    safe = np.where(small, 1.0, x)
+    big = x > _SCALE_ARG
+    safe = np.where(small | big, 1.0, x)
     sinh2_over_rnsq = np.where(small, wL * wL * (1.0 + x * x / 3.0),
                                np.sinh(safe) ** 2 / np.where(small, 1.0, rn_sq))
     T_mag = (1.0 + sinh2_over_rnsq / (4.0 * n_sq)) ** -0.5
+    if np.any(big):
+        # sinh^2 would overflow: |T| = e^{-x} / sqrt(e^{-2x} + (1 - e^{-2x})^2 / (16 n^2 rho_n^2))
+        e1 = np.exp(-np.where(big, x, 1.0))
+        e2 = e1 * e1
+        scaled = e1 / np.sqrt(e2 + (1.0 - e2) ** 2 / (16.0 * n_sq * np.where(big, rn_sq, 1.0)))
+        T_mag = np.where(big, scaled, T_mag)
     phi = np.arctan2((n_sq - rn_sq) * np.tanh(x), 2.0 * n * rn)
     if n_sq.ndim:
         return T_mag, phi

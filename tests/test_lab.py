@@ -136,6 +136,134 @@ class TestTable1WorkBound:
         assert [line for line in lines if not line.startswith("#")] == ["wa,L_over_a,kmax_a"]
 
 
+_MALFORMED = [
+    # (scenario, config file, key named on stderr)
+    ("free-packet", {"config": {"n_x": [1, 2]}}, "n_x"),
+    ("free-packet", {"config": {"n_x": 2.7}}, "n_x"),
+    ("nr-phase", {"config": {"alpha_steps": 0}}, "alpha_steps"),
+    ("relativistic-times", {"config": {"upsilon_values": [-1]}}, "upsilon_values"),
+    ("relativistic-times", {"config": {"wL": 1e308}}, "wL"),
+    ("table1", {"config": {"L_over_a_min": "a", "L_over_a_max": "b"}}, "L_over_a_min"),
+    ("table1", {"config": {"L_over_a_step": 1e-9}}, "L_over_a_step"),
+    ("nr-phase", {"sweep": {"parameter": "alpha", "min": "a", "max": 2, "steps": 5}}, "min"),
+    ("nr-phase", {"sweep": {"parameter": "alpha", "min": 1, "max": 2, "steps": 2.7}}, "steps"),
+    ("free-packet", {"config": {"t_steps": "9"}}, "t_steps"),
+    ("hartman", {"config": {"upsilon": -1}}, "upsilon"),
+    ("multipeak", {"config": {"k0_over_w": "2"}}, "k0_over_w"),
+    ("nr-phase", {"config": {"n_values": 5}}, "n_values"),
+    ("free-packet", {"config": {"n_x": 5_000_000}}, "n_x"),   # 9 x 5e6 points
+]
+
+
+class TestConfigSchema:
+    """Every key is checked against one schema table and stored as its type.
+
+    The work-bound tests assert on the computed estimate; no oversized
+    config is run.
+    """
+
+    @pytest.mark.parametrize("scenario, text, key", _MALFORMED,
+                             ids=[f"{s}-{k}" for s, _, k in _MALFORMED])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, text, key):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(text))
+        assert main(["run", scenario, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("name", lab.SCENARIO_NAMES)
+    def test_defaults_pass_the_schema(self, name):
+        config = parse_config("{}", scenario=name).config
+        defaults = lab.scenario_defaults(name)
+        assert config == defaults
+        for key, value in config.items():
+            assert type(value) is type(defaults[key])
+            if isinstance(value, list):
+                assert all(type(v) is float for v in value)
+
+    def test_integral_float_count_is_the_count(self, tmp_path):
+        outputs = []
+        for n_x in (2001, 2001.0):
+            spec = parse_config(json.dumps({"config": {"n_x": n_x}}), scenario="free-packet")
+            assert type(spec.config["n_x"]) is int
+            (path,) = emit_tables(run_scenario(spec), str(tmp_path / f"fp{len(outputs)}"))
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_numbers_are_stored_as_floats(self):
+        spec = parse_config('{"config": {"wL": 12, "upsilon_values": [0, 5]}}',
+                            scenario="relativistic-times")
+        assert type(spec.config["wL"]) is float
+        assert [type(v) for v in spec.config["upsilon_values"]] == [float, float]
+
+    @pytest.mark.parametrize("name", lab.SCENARIO_NAMES)
+    def test_work_limit_is_100_times_the_default_work(self, name):
+        work = lab._work(name, lab.scenario_defaults(name))
+        assert 0 < 100 * work <= lab._MAX_POINTS
+
+    def test_table1_limit_is_100_times_the_default_grid(self):
+        config = lab.scenario_defaults("table1")
+        assert 100 * lab._table1_rows(config) * len(config["wa_values"]) <= lab._TABLE1_MAX_CELLS
+
+    def test_sweep_steps_replace_the_steps_key(self):
+        sweep = lab.Sweep("n_sq", 0.1, 0.9, 7)
+        config = lab.scenario_defaults("relativistic-times")
+        assert lab._work("relativistic-times", config) == 5 * 101 * 160
+        assert lab._work("relativistic-times", config, sweep) == 5 * 7 * 160
+        # an empty list still builds the steps grid
+        assert lab._work("nr-phase", {**lab.scenario_defaults("nr-phase"), "n_values": []}) \
+            == 120 * 6
+
+    def test_oversized_sweep_refused(self):
+        text = json.dumps({"sweep": {"parameter": "n_sq", "min": 0.1, "max": 0.9, "steps": 20_000}})
+        with pytest.raises(ConfigError, match="upsilon_values x n_sq_steps x 160 gives 1.6e\\+07 points"):
+            parse_config(text, scenario="relativistic-times")
+
+    def test_wl_bound(self):
+        parse_config(json.dumps({"config": {"wL": lab._WL_MAX}}), scenario="relativistic-times")
+        # 400 is where sinh^2(rho_n wL) overflowed before the bound; at 1e3
+        # the continuity amplitudes overflow
+        for wL in (400.0, 10.0 * lab._WL_MAX, 1e4, 0.0, math.inf):
+            for name in ("relativistic-times", "hartman", "symmetric-times"):
+                with pytest.raises(ConfigError, match="wL"):
+                    parse_config(json.dumps({"config": {"wL": wL}}), scenario=name)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_widest_barrier_runs_clean(self):
+        # rho_n <= 1, so rho_n wL <= wL: at the bound no sinh, cosh or exp overflows
+        for name in ("relativistic-times", "hartman", "symmetric-times"):
+            (table, *_) = run_scenario(parse_config(json.dumps({"config": {"wL": lab._WL_MAX}}), name))
+            assert table.rows
+        spec = parse_config(json.dumps({"config": {"wL": lab._WL_MAX,
+                                                   "upsilon_values": [0.01, 1.0, 5.0]}}),
+                            "relativistic-times")
+        (table,) = run_scenario(spec)
+        cols = {c: table.columns.index(c) for c in ("T_sq", "identity_residual")}
+        for row in table.rows:
+            assert 0.0 <= row[cols["T_sq"]] <= 1.0
+            assert abs(row[cols["identity_residual"]]) < 1e-8
+
+    def test_provenance_echoes_each_key_once(self, tmp_path):
+        for name in lab.SCENARIO_NAMES:
+            defaults = lab.scenario_defaults(name)
+            paths = emit_tables(run_scenario(parse_config("{}", scenario=name)),
+                                str(tmp_path / name))
+            for path in paths:
+                lines = [line for line in path.read_text().splitlines()
+                         if line.startswith("# config.")]
+                keys = [line.split(" = ")[0][len("# config."):] for line in lines]
+                assert keys == sorted(defaults)
+                assert lines == [f"# config.{key} = {lab._format_value(defaults[key])}"
+                                 for key in keys]
+        # the lines the runners used to add a second time
+        for file, line in (("relativistic-times_relativistic_times.csv", "# config.wL = 6.28318531"),
+                           ("confront_confront_summary.csv", "# config.n_terms = 3"),
+                           ("table1_table1.csv", "# config.k0a = 1"),
+                           ("hartman_hartman_saturation.csv", "# config.saturation_tol = 1e-06")):
+            assert line in (tmp_path / file).read_text().splitlines()
+
+
 class TestRunScenarios:
     def test_table1_cells(self):
         spec = parse_config(json.dumps({

@@ -1,7 +1,8 @@
-"""Small-argument branches against 50-digit mpmath references.
+"""Small- and large-argument branches against 50-digit mpmath references.
 
 Each stable helper switches from a Taylor series to the direct formula at a
-fixed argument; the samples sit densely on both sides of every switch.
+fixed argument; the samples sit densely on both sides of every switch. The
+opaque-barrier transmission switches to a scaled form above _SCALE_ARG.
 """
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 
 from tunnellab import observables
 from tunnellab.observables import symmetric_dwell
-from tunnellab.stationary import Parity
+from tunnellab.stationary import Parity, relativistic_transmission
 
 _SWITCHES = (observables._SERIES_EPS, 0.05, observables._SINH_SERIES_X)
 
@@ -51,3 +52,25 @@ def test_fermion_dwell_at_small_alpha(n):
             a, nn = mpmath.mpf(float(a)), mpmath.mpf(n)
             reference.append((2 * nn / a) * (a - mpmath.sinh(a)) / (2 * nn - 1 - mpmath.cosh(a)))
     assert _worst_relative(values, reference) < 1e-12
+
+
+def _mp_rho_n(n_sq, upsilon):
+    d = n_sq - upsilon / 2
+    return mpmath.sqrt((1 - d * d) / (mpmath.sqrt(1 + 2 * n_sq * upsilon) + n_sq + upsilon / 2))
+
+
+@pytest.mark.parametrize("x", [299.9, 300.1, 350.0, 400.0, 800.0])
+@pytest.mark.parametrize("n_sq, upsilon", [(0.3, 0.0), (2.2, 5.0), (5.5, 10.0)])
+def test_opaque_transmission_matches_mpmath(x, n_sq, upsilon):
+    # above the scale switch sinh^2(rho_n wL) overflows past x of about 355;
+    # at x = 800 the modulus underflows to 0.0 in double precision
+    wL = x / float(_mp_rho_n(mpmath.mpf(n_sq), mpmath.mpf(upsilon)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        T_mag, phi = relativistic_transmission(np.array([n_sq]), upsilon, wL)
+    with mpmath.workdps(50):
+        nn, rn = mpmath.mpf(n_sq), _mp_rho_n(mpmath.mpf(n_sq), mpmath.mpf(upsilon))
+        exact = (1 + mpmath.sinh(rn * wL) ** 2 / (4 * nn * rn * rn)) ** -0.5
+        phase = mpmath.atan2((nn - rn * rn) * mpmath.tanh(rn * wL), 2 * mpmath.sqrt(nn) * rn)
+    assert T_mag[0] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert phi[0] == pytest.approx(float(phase), rel=1e-14)
+
