@@ -380,10 +380,9 @@ def _run_confront(config: dict, sweep) -> list[ResultTable]:
 
     sample_stride = max(1, n_x // 80)
 
-    def one(idx, t, tag):
+    def one(idx, t, tag, num):
         grid = grids[tag]
         ana = multipeak_partial_sum_field(tag, n_terms, grid, t, cfg)
-        num = propagate_component(tag, grid, t, cfg)
         d_ana = ana.density()
         d_num = num.density()
         max_diff = float(np.max(np.abs(d_ana - d_num)))
@@ -393,7 +392,12 @@ def _run_confront(config: dict, sweep) -> list[ResultTable]:
                                       d_num[::sample_stride])]
         return (idx, t, tag, max_diff, float(d_num.max())), pairs
 
-    results = [one(idx, t, tag) for idx, t in enumerate(snapshots) for tag in grids]
+    found = {}
+    for tag, grid in grids.items():   # one quadrature per component, over every snapshot
+        numeric = propagate_component(tag, grid, snapshots, cfg)
+        for idx, (t, num) in enumerate(zip(snapshots, numeric)):
+            found[idx, tag] = one(idx, t, tag, num)
+    results = [found[idx, tag] for idx in range(len(snapshots)) for tag in grids]
     diffs = ResultTable(
         name="confront_summary",
         columns=["snapshot", "t", "component", "max_abs_density_diff", "density_peak_numeric"],
@@ -531,7 +535,9 @@ def _run_hartman(config: dict, sweep) -> list[ResultTable]:
 # ---------------------------------------------------------------------------
 
 _WL_MAX = 1e2   # the largest decade of wL at which every scenario runs without overflow
+_UPSILON_MAX = 1e3   # identity_residual grows with upsilon: 2.2e-11 here, 3.5e-9 at 1e6 (D6)
 _POSITIVE, _ANY, _WL = "(0, inf)", "(-inf, inf)", f"(0, {_WL_MAX:g}]"
+_UPSILON = f"[0, {_UPSILON_MAX:g}]"
 _STEPS = "[1, inf)"
 _ABOVE_BARRIER = {"wa": (1.0e4, _POSITIVE), "k0_over_w": (math.sqrt(2.0), "(1, inf)"),
                   "L_over_a": (5.0, _POSITIVE), "n_snapshots": (6, _STEPS),
@@ -570,14 +576,14 @@ _SCHEMA: dict[str, _Scenario] = {
          "n_steps": (97, _STEPS)},
         work=("n_steps", 11), sweep=("n", "n_steps"), run=_run_symmetric_times),
     "relativistic-times": _Scenario(
-        {"wL": (2.0 * math.pi, _WL), "upsilon_values": ([0.0, 1.0, 2.0, 5.0, 10.0], "[0, inf)"),
+        {"wL": (2.0 * math.pi, _WL), "upsilon_values": ([0.0, 1.0, 2.0, 5.0, 10.0], _UPSILON),
          "n_sq_steps": (101, _STEPS), "edge_margin": (1e-3, "[0, 1)")},
         work=("upsilon_values", "n_sq_steps", 160), sweep=("n_sq", "n_sq_steps"),
         run=_run_relativistic_times),
     "hartman": _Scenario(
         {"n_values": ([0.1, 0.3, 0.5, 0.7, 0.9], "(0, 1)"), "alpha_max": (60.0, "(0.5, inf)"),
          "alpha_steps": (240, _STEPS), "saturation_tol": (1e-6, _POSITIVE),
-         "upsilon": (5.0, "[0, inf)"), "wL": (2.0 * math.pi, _WL)},
+         "upsilon": (5.0, _UPSILON), "wL": (2.0 * math.pi, _WL)},
         work=("n_values", "alpha_steps", 3), run=_run_hartman),
 }
 

@@ -377,7 +377,9 @@ def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
     cell in lockstep, one objective call per iteration, until each bracket is
     below tol_ka / a.  That bounds the bracket, not the error: the objective
     is flat to rounding at its maximum (docs/DECISIONS.md D5).  Below the
-    distortion threshold it is unimodal with its maximum in (k0, w).
+    distortion threshold it is unimodal with its maximum in (k0, w).  A cell
+    whose scan overflows |T| (w L above about 350) raises ZoneError: the
+    overflowed |T| reads 0 and the scan would return an arbitrary point.
     """
     single = isinstance(cfgs, PhysicalConfig)
     cells = [cfgs] if single else list(cfgs)
@@ -391,10 +393,15 @@ def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
         return np.exp(-a * a * (k - k0) ** 2 / 4.0) * nr_transmission_mag(k, w, L)
 
     brackets = []
-    for cfg in cells:
-        ks = np.linspace(cfg.w * 1e-9, cfg.w * (1.0 - 1e-12), n_scan)
-        i = int(np.argmax(objective(ks, cfg.w, cfg.a, cfg.k0, cfg.L)))
-        brackets.append((float(ks[max(i - 1, 0)]), float(ks[min(i + 1, n_scan - 1)])))
+    with np.errstate(over="raise"):
+        for cfg in cells:
+            ks = np.linspace(cfg.w * 1e-9, cfg.w * (1.0 - 1e-12), n_scan)
+            try:
+                i = int(np.argmax(objective(ks, cfg.w, cfg.a, cfg.k0, cfg.L)))
+            except FloatingPointError:
+                raise ZoneError(f"the filtered-spectrum scan overflows at w a = {cfg.w * cfg.a:g},"
+                                f" L/a = {cfg.L / cfg.a:g}: the barrier is too opaque") from None
+            brackets.append((float(ks[max(i - 1, 0)]), float(ks[min(i + 1, n_scan - 1)])))
     lo, hi = np.array(brackets).T.copy()
     w, a, k0, L = np.array([(cfg.w, cfg.a, cfg.k0, cfg.L) for cfg in cells]).T.copy()
     tol = tol_ka / a

@@ -46,6 +46,7 @@ __all__ = [
 COMPONENT_TAGS = ("incident", "reflected", "alpha", "beta", "transmitted")
 
 _REGION_TOL = 1e-9
+_BLOCK_BUDGET = 1 << 20   # complex values of one FFT block, see _spectral_field
 
 
 @dataclass(frozen=True)
@@ -170,62 +171,97 @@ def _require_region(tag: str, grid: SpatialGrid, cfg: PhysicalConfig) -> None:
 
 def _chirp_sum(amp: np.ndarray, k_start: float, dk: float, xs: np.ndarray, dx: float,
                sign: float) -> np.ndarray:
-    """sum_j amp_j e^{i sign (k_start + j dk) x_l} on the uniform grid xs (spacing dx).
+    """sum_j amp[..., j] e^{i sign (k_start + j dk) x_l} on the uniform grid xs (spacing dx).
 
     Bluestein's chirp-z transform: j l = (j^2 + l^2 - (l - j)^2) / 2 makes the
     sum a convolution with the chirp e^{-i c m^2 / 2}, c = sign dk dx, done by
-    FFT in O((n_k + n_x) log) operations.  The chirp phase c r^2 / 2 (r < n_k +
-    n_x) is of the size of a direct sum's k x; k_start x is exponentiated alone.
+    FFT in O((n_k + n_x) log) operations.  The chirp phase c r^2 / 2 (|r| <
+    max(n_k, n_x)) is of the size of a direct sum's k x; k_start x is
+    exponentiated alone.  Every row of amp is summed by one FFT pair along the
+    last axis, against one FFT of the chirp.
     """
-    n_k, n_x = amp.size, xs.size
+    n_k, n_x = amp.shape[-1], xs.size
     c = sign * dk * dx
     j = np.arange(n_k, dtype=float)
-    lags = np.arange(1 - n_k, n_x, dtype=float)          # every l - j
-    l = lags[n_k - 1:]
+    r = np.arange(max(n_k, n_x), dtype=float)
+    wave = np.exp(-0.5j * c * r * r)                     # the chirp at lags +-r
     size = 1 << (n_k + n_x - 2).bit_length()             # no circular wrap-around
     chirp = np.zeros(size, dtype=complex)
-    chirp[lags.astype(int) % size] = np.exp(-0.5j * c * lags * lags)
-    u = amp * np.exp(1j * sign * (j * dk) * xs[0] + 0.5j * c * j * j)
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp))[:n_x]
-    return np.exp(1j * sign * k_start * xs) * np.exp(0.5j * c * l * l) * conv
+    chirp[:n_x], chirp[size + 1 - n_k:] = wave[:n_x], wave[n_k - 1:0:-1]  # lag l - j mod size
+    u = amp * np.exp(1j * (sign * (j * dk) * xs[0] + 0.5 * c * j * j))
+    spectrum = np.fft.fft(u, size)
+    spectrum *= np.fft.fft(chirp)
+    conv = np.fft.ifft(spectrum, out=spectrum)[..., :n_x]   # in place: one block in memory
+    return np.exp(1j * (sign * k_start * xs)) * wave[:n_x].conj() * conv
 
 
-def _spectral_field(amplitude, lo: float, hi: float, xs: np.ndarray, dx: float,
-                    sign: float, tol: float, n_k: int, max_n_k: int):
-    """Trapezoidal integral of amplitude(kappa) e^{i sign kappa x} over [lo, hi].
+def _spectral_field(amplitude, times: np.ndarray, lo: float, hi: float, xs: np.ndarray,
+                    dx: float, sign: float, tol: float, n_k: int, max_n_k: int):
+    """Trapezoidal integrals of amplitude(kappa, t) e^{i sign kappa x} over [lo, hi], one per t.
 
-    Refined by nested doubling: the sum on 2n - 1 nodes is half the sum on n
-    nodes plus the midpoint sum, so no node is evaluated twice.  Refinement
-    stops once the field changes by less than `tol` everywhere, or once the
-    grid reaches `max_n_k` nodes.  Returns (values, final node count,
-    converged); a grid that is never refined is not converged.
+    amplitude(kappa, times) returns the (times, kappa) block; it is called
+    once per refinement level, so whatever does not depend on t is computed
+    once for all rows.  Refined by nested doubling: the sum on 2n - 1 nodes is
+    half the sum on n nodes plus the midpoint sum, so no node is evaluated
+    twice.  A row stops refining once its field changes by less than `tol`
+    everywhere, or once the grid reaches `max_n_k` nodes; the other rows
+    refine on.  The times are taken in chunks of _BLOCK_BUDGET // (FFT length
+    at max_n_k nodes) rows, at least one, so memory does not grow with the
+    number of times.  Returns (values, final node counts, converged flags),
+    one row or entry per time; a row that is never refined is not converged.
     """
-    h = (hi - lo) / (n_k - 1)
-    f = amplitude(np.linspace(lo, hi, n_k))
-    f[[0, -1]] *= 0.5
-    values = h * _chirp_sum(f, lo, h, xs, dx, sign)
-    n, converged = n_k, False
-    while n < max_n_k:
-        mid = amplitude(lo + h * (np.arange(n - 1) + 0.5))
-        refined = 0.5 * (values + h * _chirp_sum(mid, lo + 0.5 * h, h, xs, dx, sign))
-        n, h = 2 * n - 1, 0.5 * h
-        converged = float(np.max(np.abs(refined - values))) < tol
-        values = refined
-        if converged:
-            break
-    return values, n, converged
+    n_t, n_x = times.size, xs.size
+    values = np.empty((n_t, n_x), dtype=complex)
+    levels = np.full(n_t, n_k)
+    converged = np.zeros(n_t, dtype=bool)
+    rows = max(1, _BLOCK_BUDGET // (1 << (max(n_k, max_n_k) + n_x - 2).bit_length()))
+    for start in range(0, n_t, rows):
+        chunk = np.arange(start, min(start + rows, n_t))
+        h = (hi - lo) / (n_k - 1)
+        f = amplitude(np.linspace(lo, hi, n_k), times[chunk])
+        f[:, [0, -1]] *= 0.5
+        values[chunk] = h * _chirp_sum(f, lo, h, xs, dx, sign)
+        n, active = n_k, chunk
+        while n < max_n_k and active.size:
+            mid = amplitude(lo + h * (np.arange(n - 1) + 0.5), times[active])
+            previous = values[active]
+            refined = 0.5 * (previous + h * _chirp_sum(mid, lo + 0.5 * h, h, xs, dx, sign))
+            n, h = 2 * n - 1, 0.5 * h
+            done = np.max(np.abs(refined - previous), axis=1) < tol
+            values[active], levels[active] = refined, n
+            converged[active[done]] = True
+            active = active[~done]
+    return values, levels, converged
 
 
-def _packet(k: np.ndarray, t: float, cfg: PhysicalConfig) -> np.ndarray:
-    """g(k) / sqrt(2 pi) e^{-i (E t + k x0)}: the incident packet's spectrum at time t."""
+def _packet(k: np.ndarray, times: np.ndarray, cfg: PhysicalConfig) -> np.ndarray:
+    """g(k) / sqrt(2 pi) e^{-i (E t + k x0)}: the incident packet's spectrum, one row per time."""
     E = k * k / (2.0 * cfg.m)
     return (GaussianSpectrum(cfg.a, cfg.k0).amplitude(k) / math.sqrt(2.0 * math.pi)
-            * np.exp(-1j * (E * t + k * cfg.x0)))
+            * np.exp(-1j * (E * times[:, None] + k * cfg.x0)))
 
 
-def propagate_component(tag: str, grid: SpatialGrid, t: float, cfg: PhysicalConfig,
+def _times(t) -> tuple[np.ndarray, bool]:
+    """The times of a propagation call as a 1-d array, and whether t was one number."""
+    times = np.array(t, dtype=float, ndmin=1)
+    if times.ndim != 1:
+        raise ValueError("t must be a number or a sequence of numbers")
+    return times, np.ndim(t) == 0
+
+
+def _fields(grid: SpatialGrid, times: np.ndarray, single: bool, tag: str, values,
+            levels=None, converged=None) -> WaveField | list[WaveField]:
+    """One WaveField per time (a list), or the field alone for a single time."""
+    fields = [WaveField(grid=grid, values=values[i], t=float(t), component_tag=tag,
+                        n_k=None if levels is None else int(levels[i]),
+                        converged=True if converged is None else bool(converged[i]))
+              for i, t in enumerate(times)]
+    return fields[0] if single else fields
+
+
+def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
                         *, tol: float = 1e-6, n_k: int = 513,
-                        max_n_k: int = 16385) -> WaveField:
+                        max_n_k: int = 16385) -> WaveField | list[WaveField]:
     """Propagate one scattered component by quadrature over the momentum window.
 
     The window is k0 +- 8/a clipped to the above-barrier zone (w, inf).  The
@@ -234,51 +270,58 @@ def propagate_component(tag: str, grid: SpatialGrid, t: float, cfg: PhysicalConf
     q = sqrt(k^2 - w^2) with dk = (q/k) dq, which also cancels the 1/q growth
     of its coefficients at the zone edge.  The trapezoidal grid is refined by
     doubling until the field changes by less than `tol` anywhere.
+
+    `t` is one time, which gives a WaveField, or a sequence of times, which
+    gives a list of them in order.  A sequence is one quadrature: the
+    stationary coefficients are evaluated once per refinement level for all
+    times, and each time's field stops refining where it would alone.
     """
     if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
         raise ZoneError("component propagation uses the non-relativistic solutions")
     _require_region(tag, grid, cfg)
+    times, single = _times(t)
     if cfg.L == 0.0:
         # zero-width barrier: free propagation (R = 0, T = 1 identically)
         if tag in ("incident", "transmitted"):
-            values = np.asarray(free_gaussian(grid.x, t, cfg), dtype=complex)
+            values = [np.asarray(free_gaussian(grid.x, tt, cfg), dtype=complex)
+                      for tt in times.tolist()]
         elif tag == "reflected":
-            values = np.zeros(grid.n_points, dtype=complex)
+            values = np.zeros((times.size, grid.n_points), dtype=complex)
         else:
             raise ValueError("a zero-width barrier has no interior region")
-        return WaveField(grid=grid, values=values, t=t, component_tag=tag)
+        return _fields(grid, times, single, tag, values)
     w = cfg.w
     lo, hi = momentum_window(cfg, lower=w * (1.0 + 1e-12))
     if tag == "incident":
-        def amplitude(k):
-            return _packet(k, t, cfg)
+        def amplitude(k, times):
+            return _packet(k, times, cfg)
     elif tag in ("alpha", "beta"):
         lo, hi = math.sqrt((lo - w) * (lo + w)), math.sqrt((hi - w) * (hi + w))
 
-        def amplitude(q):
+        def amplitude(q, times):
             k = np.sqrt(q * q + w * w)
             coeffs = above_barrier_coeffs(k, cfg)
             coef = coeffs.alpha_coef if tag == "alpha" else coeffs.beta_coef
-            return (q / k) * coef * _packet(k, t, cfg)
+            return (q / k) * coef * _packet(k, times, cfg)
     else:
-        def amplitude(k):
+        def amplitude(k, times):
             coeffs = above_barrier_coeffs(k, cfg)
-            return (coeffs.R if tag == "reflected" else coeffs.T) * _packet(k, t, cfg)
+            return (coeffs.R if tag == "reflected" else coeffs.T) * _packet(k, times, cfg)
 
     sign = -1.0 if tag in ("reflected", "beta") else 1.0     # e^{-ikx}, e^{-iqx}
-    values, n, converged = _spectral_field(amplitude, lo, hi, grid.x, grid.spacing,
-                                           sign, tol, n_k, max_n_k)
-    return WaveField(grid=grid, values=values, t=t, component_tag=tag,
-                     n_k=n, converged=converged)
+    return _fields(grid, times, single, tag,
+                   *_spectral_field(amplitude, times, lo, hi, grid.x, grid.spacing,
+                                    sign, tol, n_k, max_n_k))
 
 
-def propagate_tunnel_transmitted(grid: SpatialGrid, t: float, cfg: PhysicalConfig,
+def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
                                  *, tol: float = 1e-6, n_k: int = 513,
-                                 max_n_k: int = 16385) -> WaveField:
+                                 max_n_k: int = 16385) -> WaveField | list[WaveField]:
     """Transmitted packet of the tunneling geometry (barrier on [-L/2, L/2]).
 
     Quadrature of |T| e^{i theta} e^{ik(x - L/2)} over the momentum window
-    clipped to the tunneling zone (0, w), refined as in `propagate_component`.
+    clipped to the tunneling zone (0, w), refined as in `propagate_component`;
+    `t` is one time or a sequence of times, as there.
     """
     from .stationary import tunnel_amplitude_nr
 
@@ -287,17 +330,17 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t: float, cfg: PhysicalConfi
     half = 0.5 * cfg.L
     if grid.x_min < half - _REGION_TOL * max(1.0, abs(grid.x_max)):
         raise ValueError("transmitted grid must lie beyond the exit face x = L/2")
+    times, single = _times(t)
     lo, hi = momentum_window(cfg, lower=1e-12 * cfg.w, upper=cfg.w * (1.0 - 1e-12))
 
-    def amplitude(k):
+    def amplitude(k, times):
         sc = tunnel_amplitude_nr(k, cfg)
         T_exit = (2.0 * k * np.sqrt(cfg.w ** 2 - k * k) / sc.F) * np.exp(1j * sc.theta)
-        return T_exit * _packet(k, t, cfg)
+        return T_exit * _packet(k, times, cfg)
 
-    values, n, converged = _spectral_field(amplitude, lo, hi, grid.x - half, grid.spacing,
-                                           1.0, tol, n_k, max_n_k)
-    return WaveField(grid=grid, values=values, t=t, component_tag="transmitted-tunnel",
-                     n_k=n, converged=converged)
+    return _fields(grid, times, single, "transmitted-tunnel",
+                   *_spectral_field(amplitude, times, lo, hi, grid.x - half, grid.spacing,
+                                    1.0, tol, n_k, max_n_k))
 
 
 # ---------------------------------------------------------------------------

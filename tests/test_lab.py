@@ -229,6 +229,40 @@ class TestConfigSchema:
                 with pytest.raises(ConfigError, match="wL"):
                     parse_config(json.dumps({"config": {"wL": wL}}), scenario=name)
 
+    def test_upsilon_bound(self, tmp_path, capsys):
+        # from 1e15 rounding loses the zone, 1e18 ran unchecked and 1e150 overflowed
+        for upsilon in (1e15, 1e18, 1e150):
+            for name, key, value in (("relativistic-times", "upsilon_values", [upsilon]),
+                                     ("hartman", "upsilon", upsilon)):
+                config = tmp_path / "big.json"
+                config.write_text(json.dumps({"config": {key: value}}))
+                assert main(["run", name, "--config", str(config),
+                             "--out", str(tmp_path / "out")]) == 2
+                assert key in capsys.readouterr().err
+                assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_upsilon_runs_clean(self):
+        spec = parse_config(json.dumps({"config": {"upsilon_values": [lab._UPSILON_MAX]}}),
+                            "relativistic-times")
+        (table,) = run_scenario(spec)
+        column = table.columns.index("identity_residual")
+        assert table.rows
+        assert max(abs(row[column]) for row in table.rows) < 1e-10
+        spec = parse_config(json.dumps({"config": {"upsilon": lab._UPSILON_MAX}}), "hartman")
+        assert run_scenario(spec)[0].provenance["relativistic_curve_finite"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opaque_table1_cell_exits_2(self, tmp_path, capsys):
+        for wa in (350, 1000):
+            config = tmp_path / "opaque.json"
+            config.write_text(json.dumps({"config": {"wa_values": [wa], "L_over_a_min": 1,
+                                                     "L_over_a_max": 1}}))
+            assert main(["run", "table1", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert f"w a = {wa}, L/a = 1" in capsys.readouterr().err
+            assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_widest_barrier_runs_clean(self):
         # rho_n <= 1, so rho_n wL <= wL: at the bound no sinh, cosh or exp overflows

@@ -311,6 +311,21 @@ class TestSpectralMaximumOracle:
             assert result.bracket[0] < truth < result.bracket[1]
             assert abs(result.k_max - truth) <= 1e-7, (k0a, wa, step)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opaque_cells(self):
+        # w^4 sinh^2(rho L) overflows from w L of about 350: there the scan
+        # read |T| = 0 and returned an arbitrary point (0.50025 at w a = 1000,
+        # where the argmax is 2.0027), so such a cell is refused
+        cfg = PhysicalConfig(m=1.0, V0=300.0 ** 2 / 2.0, L=1.0, a=1.0, k0=1.0)
+        result = kmax_find(cfg)
+        truth = filtered_spectrum_argmax(cfg.w, cfg.a, cfg.k0, cfg.L, *result.bracket)
+        assert truth == pytest.approx(2.0089121, abs=1e-7)
+        assert abs(result.k_max - truth) <= 1e-7
+        for wa in (350.0, 1000.0):
+            opaque = PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=1.0, a=1.0, k0=1.0)
+            with pytest.raises(ZoneError, match=f"w a = {wa:g}, L/a = 1"):
+                kmax_find([cfg, opaque])
+
 
 class TestSymmetricTriple:
     def test_exact_identity(self):

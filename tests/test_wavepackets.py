@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import direct_spectral_sum, trapezoid_norm
 
+from tunnellab import wavepackets
 from tunnellab.core import GaussianSpectrum, PhysicalConfig, ZoneError
 from tunnellab.stationary import above_barrier_coeffs, tunnel_amplitude_nr
 from tunnellab.wavepackets import (
@@ -132,20 +134,20 @@ class TestPropagation:
         q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
         # domains wide enough to hold every bounce peak at the latest snapshot
         span = (5.0 * (cfg.k0 / q0) * cfg.L + abs(cfg.x0) + 14.0 * cfg.a)
-        for n in (0, 2, 5):
-            t = n * cfg.m * cfg.L / q0
+        times = [n * cfg.m * cfg.L / q0 for n in (0, 2, 5)]
+        gI = SpatialGrid(-span, 0.0, 6001)
+        gII = SpatialGrid(0.0, cfg.L, 1001)
+        gIII = SpatialGrid(cfg.L, cfg.L + span, 6001)
+        inc = propagate_component("incident", gI, times, cfg)
+        ref = propagate_component("reflected", gI, times, cfg)
+        al = propagate_component("alpha", gII, times, cfg)
+        be = propagate_component("beta", gII, times, cfg)
+        tr = propagate_component("transmitted", gIII, times, cfg)
+        for i in range(len(times)):
             total = 0.0
-            gI = SpatialGrid(-span, 0.0, 6001)
-            inc = propagate_component("incident", gI, t, cfg)
-            ref = propagate_component("reflected", gI, t, cfg)
-            total += trapezoid_norm(np.abs(inc.values + ref.values) ** 2, gI.x)
-            gII = SpatialGrid(0.0, cfg.L, 1001)
-            al = propagate_component("alpha", gII, t, cfg)
-            be = propagate_component("beta", gII, t, cfg)
-            total += trapezoid_norm(np.abs(al.values + be.values) ** 2, gII.x)
-            gIII = SpatialGrid(cfg.L, cfg.L + span, 6001)
-            tr = propagate_component("transmitted", gIII, t, cfg)
-            total += trapezoid_norm(np.abs(tr.values) ** 2, gIII.x)
+            total += trapezoid_norm(np.abs(inc[i].values + ref[i].values) ** 2, gI.x)
+            total += trapezoid_norm(np.abs(al[i].values + be[i].values) ** 2, gII.x)
+            total += trapezoid_norm(np.abs(tr[i].values) ** 2, gIII.x)
             assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_resonant_transmission_norm(self):
@@ -198,10 +200,9 @@ class TestPropagation:
         }
         peak = 0.0
         diffs = {}
-        for n in (1, 3, 5):
-            t = n * cfg.m * cfg.L / q0
-            for tag, grid in grids.items():
-                num = propagate_component(tag, grid, t, cfg)
+        times = [n * cfg.m * cfg.L / q0 for n in (1, 3, 5)]
+        for tag, grid in grids.items():
+            for t, num in zip(times, propagate_component(tag, grid, times, cfg)):
                 ana = multipeak_partial_sum_field(tag, 3, grid, t, cfg)
                 peak = max(peak, float(num.density().max()))
                 diffs[tag] = max(diffs.get(tag, 0.0),
@@ -380,6 +381,99 @@ class TestRunRecord:
             nested = propagate_component(tag, grid, 1e-3, cfg, tol=1e-300, max_n_k=1025)
             direct = propagate_component(tag, grid, 1e-3, cfg, n_k=1025, max_n_k=1025)
             assert np.max(np.abs(nested.values - direct.values)) < 1e-12
+
+
+def _same_fields(batch, singles):
+    for got, want in zip(batch, singles, strict=True):
+        assert np.array_equal(got.values, want.values)
+        assert (got.t, got.n_k, got.converged) == (want.t, want.n_k, want.converged)
+
+
+class TestTimeBatches:
+    """A sequence of times is one quadrature whose rows equal single-time calls.
+
+    The batched FFTs run row by row in pocketfft, so the rows are bit-identical
+    to one-row calls; the assertions are exact.
+    """
+
+    TIMES = (0.0, 0.03, 0.3, 1.0, 3.0)    # rows stop at 1025 to 4097 nodes
+
+    @pytest.mark.parametrize("tag, tol", [("incident", 1e-9), ("reflected", 1e-6),
+                                          ("alpha", 1e-6), ("beta", 1e-6),
+                                          ("transmitted", 1e-6)])
+    def test_rows_equal_single_calls(self, tag, tol):
+        cfg = scatter_cfg(wa=500.0)
+        region = {"alpha": (0.0, cfg.L, 51), "beta": (0.0, cfg.L, 51),
+                  "transmitted": (cfg.L, cfg.L + 30.0, 201)}.get(tag, (-30.0, 0.0, 201))
+        grid = SpatialGrid(*region)
+        batch = propagate_component(tag, grid, list(self.TIMES), cfg, tol=tol)
+        _same_fields(batch, [propagate_component(tag, grid, t, cfg, tol=tol)
+                             for t in self.TIMES])
+        assert len({f.n_k for f in batch}) > 1 and all(f.converged for f in batch)
+        capped = propagate_component(tag, grid, self.TIMES, cfg, tol=1e-300, max_n_k=1025)
+        _same_fields(capped, [propagate_component(tag, grid, t, cfg, tol=1e-300, max_n_k=1025)
+                              for t in self.TIMES])
+        assert {(f.n_k, f.converged) for f in capped} == {(1025, False)}
+
+    def test_zero_width_rows(self):
+        cfg = PhysicalConfig.above_barrier(m=1.0, V0=0.5, L=0.0, a=1.0, k0=5.0, x0=-4.0)
+        grid = SpatialGrid(-12.0, 0.0, 201)
+        for tag in ("incident", "reflected"):
+            batch = propagate_component(tag, grid, np.array(self.TIMES), cfg)
+            _same_fields(batch, [propagate_component(tag, grid, t, cfg) for t in self.TIMES])
+        assert propagate_component("incident", grid, [], cfg) == []
+
+    def test_tunnel_rows_equal_single_calls(self):
+        # the benchmark's tunnel cells: k0 a = 1, L/a = 0.3, 601 points over 40 a
+        levels = set()
+        for wa in (4.0, 6.0, 10.0):
+            cfg = PhysicalConfig.tunneling(m=1.0, V0=wa * wa / 2.0, L=0.3, a=1.0, k0=1.0,
+                                           x0=-8.0)
+            grid = SpatialGrid(0.15, 40.15, 601)
+            batch = propagate_tunnel_transmitted(grid, (8.0, 14.0), cfg)
+            _same_fields(batch, [propagate_tunnel_transmitted(grid, t, cfg) for t in (8.0, 14.0)])
+            levels |= {f.n_k for f in batch}
+        assert levels == {1025, 2049, 4097}
+
+    def test_work_is_shared_across_times(self, monkeypatch):
+        # per refinement level: one coefficient call, one FFT of the chirp,
+        # one FFT and one inverse FFT of the whole block
+        counts = {"coeffs": 0, "fft": 0, "ifft": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(wavepackets, "above_barrier_coeffs",
+                            counted("coeffs", above_barrier_coeffs))
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+        cfg = scatter_cfg(wa=500.0)
+        times = [*self.TIMES, 0.1]
+        batch = propagate_component("reflected", SpatialGrid(-30.0, 0.0, 201), times, cfg)
+        row_levels = [1 + int(math.log2((f.n_k - 1) // 512)) for f in batch]
+        assert counts == {"coeffs": max(row_levels), "fft": 2 * max(row_levels),
+                          "ifft": max(row_levels)}
+        assert max(row_levels) < sum(row_levels)    # what one call per time would make
+
+    def test_memory_does_not_grow_with_the_times(self, monkeypatch):
+        # 8 rows per chunk: the blocks of 200 times at once would peak near 14 MiB
+        budget = 1 << 18
+        monkeypatch.setattr(wavepackets, "_BLOCK_BUDGET", budget)
+        cfg = scatter_cfg(wa=500.0)
+        grid = SpatialGrid(-30.0, 0.0, 101)
+        times = np.linspace(0.0, 0.3, 200)
+        tracemalloc.start()
+        try:
+            batch = propagate_component("reflected", grid, times, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * budget * np.dtype(complex).itemsize
+        _same_fields(batch[::67], [propagate_component("reflected", grid, t, cfg)
+                                   for t in times[::67]])
 
 
 class TestZoneEdgeInteriorPair:
