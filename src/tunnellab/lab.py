@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -436,11 +438,10 @@ def _run_nr_phase(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     sat_rows = []
     for n in config["n_values"]:
         curve = hartman_curve_nr(n, alphas, tol=config["saturation_tol"])
-        boson = np.atleast_1d(np.asarray(symmetric_phase_time(n, alphas, Parity.SYMMETRIC)))
-        fermion = np.atleast_1d(np.asarray(symmetric_phase_time(n, alphas, Parity.ANTISYMMETRIC)))
-        for a, rate, ratio, tb, tf in zip(curve.parameter, curve.t_over_tau,
-                                          curve.ratio_to_limit, boson, fermion):
-            rows.append((n, float(a), float(rate), float(ratio), float(tb), float(tf)))
+        boson = np.atleast_1d(symmetric_phase_time(n, alphas, Parity.SYMMETRIC))
+        fermion = np.atleast_1d(symmetric_phase_time(n, alphas, Parity.ANTISYMMETRIC))
+        rows += _rows([np.full(alphas.size, n), curve.parameter, curve.t_over_tau,
+                       curve.ratio_to_limit, boson, fermion])
         sat_rows.append((n, curve.saturation_parameter
                          if curve.saturation_parameter is not None else math.nan))
     return [
@@ -637,46 +638,91 @@ def _format_value(value) -> str:
     return f"{value:.9g}"
 
 
+# '%' fields that print an exact float, str or int as _format_value does
+_CSV_FIELDS = {float: "%.9g", str: "%s", int: "%d"}
+# Each JSON row cell starts a line after three spaces: a string cell with a
+# quote, a float cell with its repr, so these renames reach only the
+# non-finite floats, which json writes as NaN, Infinity and -Infinity
+_JSON_NONFINITE = (("\n   nan", "\n   NaN"), ("\n   inf", "\n   Infinity"),
+                   ("\n   -inf", "\n   -Infinity"))
+
+
+def _json_cell(value) -> str:
+    """A JSON row cell: an escaped string, else the repr of the value as a float."""
+    return encode_basestring_ascii(value) if isinstance(value, str) else repr(float(value))
+
+
+def _row_templates(signature: tuple) -> tuple:
+    """CSV and JSON '%' templates of the rows whose cells have these exact types.
+
+    The CSV template is None when a cell has a type outside _CSV_FIELDS; such
+    rows are printed by _format_value cell by cell. In the JSON template an
+    exact float is '%r' and every other cell is first rendered by _json_cell.
+    """
+    csv = (",".join(_CSV_FIELDS[kind] for kind in signature) + "\n"
+           if all(kind in _CSV_FIELDS for kind in signature) else None)
+    cells = ",".join("\n   %r" if kind is float else "\n   %s" for kind in signature)
+    return csv, f"  [{cells}\n  ]" if cells else "  []", all(kind is float for kind in signature)
+
+
 def emit_tables(tables: list[ResultTable], prefix: str, *, json_mirror: bool = False,
                 timestamp: str | None = None) -> list[Path]:
     """Write each table to <prefix>_<table>.csv (plus .json when asked).
 
     The CSV starts with '#'-prefixed provenance lines; floats are printed to
-    nine significant digits so reruns are byte-identical.
+    nine significant digits so reruns are byte-identical. The JSON mirror is
+    what ``json.dumps(indent=1, sort_keys=True)`` writes for the provenance,
+    the columns and the rows with every non-string cell as a float.
+    Each row is one '%' of the template of its cell types (_row_templates),
+    written as it is made, so no copy of the table's text is held.
     """
     out_paths: list[Path] = []
     prefix_path = Path(prefix)
     if prefix_path.parent != Path("."):
         prefix_path.parent.mkdir(parents=True, exist_ok=True)
     for table in tables:
-        for row in table.rows:
-            if len(row) != len(table.columns):
-                raise ScenarioError(
-                    f"table {table.name!r}: row of width {len(row)} does not "
-                    f"match {len(table.columns)} columns")
-        lines = []
-        for key, value in table.provenance.items():
-            lines.append(f"# {key} = {_format_value(value)}")
+        width = len(table.columns)
+        if set(map(len, table.rows)) - {width}:
+            bad = next(len(row) for row in table.rows if len(row) != width)
+            raise ScenarioError(f"table {table.name!r}: row of width {bad} does not "
+                                f"match {width} columns")
+        provenance = {key: _format_value(value) for key, value in table.provenance.items()}
+        header = [f"# {key} = {value}" for key, value in provenance.items()]
         if timestamp is not None:
-            lines.append(f"# generated_at = {timestamp}")
-        lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join(_format_value(v) for v in row))
+            header.append(f"# generated_at = {timestamp}")
+            provenance["generated_at"] = timestamp
+        header.append(",".join(table.columns))
         path = prefix_path.parent / f"{prefix_path.name}_{table.name}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        jpath = path.with_suffix(".json")
+        with (path.open("w", encoding="utf-8") as csv_file,
+              jpath.open("w", encoding="utf-8") if json_mirror else nullcontext() as json_file):
+            csv_file.write("\n".join(header) + "\n")
+            if json_mirror:
+                skeleton = json.dumps({"columns": table.columns, "provenance": provenance,
+                                       "rows": []}, indent=1, sort_keys=True)
+                head, _, tail = skeleton.rpartition("[]")   # "rows" sorts last
+                json_file.write(head + "[")
+                separator = "\n"
+            templates: dict = {}
+            for row in table.rows:
+                signature = tuple(map(type, row))
+                if signature not in templates:
+                    templates[signature] = _row_templates(signature)
+                csv, json_row, all_float = templates[signature]
+                row = tuple(row)   # '%' takes a list as one argument
+                csv_file.write(csv % row if csv is not None
+                               else (",".join(map(_format_value, row)) + "\n"))
+                if json_mirror:
+                    text = json_row % (row if all_float else tuple(
+                        value if type(value) is float else _json_cell(value) for value in row))
+                    if "n" in text:   # a row without an n holds no nan or inf
+                        for name, json_name in _JSON_NONFINITE:
+                            text = text.replace(name, json_name)
+                    json_file.write(separator + text)
+                    separator = ",\n"
+            if json_mirror:
+                json_file.write(("\n ]" if table.rows else "]") + tail + "\n")
         out_paths.append(path)
         if json_mirror:
-            payload = {
-                "provenance": {k: (v if isinstance(v, str) else _format_value(v))
-                               for k, v in table.provenance.items()},
-                "columns": table.columns,
-                "rows": [[v if isinstance(v, str) else float(v) for v in row]
-                         for row in table.rows],
-            }
-            if timestamp is not None:
-                payload["provenance"]["generated_at"] = timestamp
-            jpath = path.with_suffix(".json")
-            jpath.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                             encoding="utf-8")
             out_paths.append(jpath)
     return out_paths

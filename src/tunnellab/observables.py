@@ -830,6 +830,17 @@ def rel_time_observables(n_sq: float, upsilon: float, wL: float) -> TimeObservab
 # saturation (Hartman) sweeps
 # ---------------------------------------------------------------------------
 
+def _saturation_start(parameter: np.ndarray, within: np.ndarray) -> float | None:
+    """First sweep value from which every later entry is ``within`` the band.
+
+    That is the value after the last out-of-band entry; None when the last
+    entry is out of band or the sweep is empty.
+    """
+    outside = np.flatnonzero(~within)
+    start = outside[-1] + 1 if outside.size else 0
+    return float(parameter[start]) if start < parameter.size else None
+
+
 def hartman_curve_nr(n: float, alphas, tol: float = 1e-6) -> HartmanCurve:
     """One-way phase time against its opaque-limit value, sweeping alpha at fixed k.
 
@@ -839,15 +850,9 @@ def hartman_curve_nr(n: float, alphas, tol: float = 1e-6) -> HartmanCurve:
     alphas = np.asarray(alphas, dtype=float)
     rate = np.atleast_1d(np.asarray(nr_one_way_rate(n, alphas)))
     ratio = 0.5 * alphas * rate
-    sat = None
-    below = np.abs(ratio - 1.0) < tol
-    for i in range(alphas.size):
-        if np.all(below[i:]):
-            sat = float(alphas[i])
-            break
     return HartmanCurve(parameter=alphas, t_over_tau=rate, ratio_to_limit=ratio,
                         limit_description="opaque-limit time 2m/(k rho)",
-                        saturation_parameter=sat)
+                        saturation_parameter=_saturation_start(alphas, np.abs(ratio - 1.0) < tol))
 
 
 def hartman_curve_symmetric(n: float, alphas, parity: Parity,
@@ -855,15 +860,9 @@ def hartman_curve_symmetric(n: float, alphas, parity: Parity,
     """Symmetric-collision rate sweep; the normalized time decays to zero."""
     alphas = np.asarray(alphas, dtype=float)
     rate = np.atleast_1d(np.asarray(symmetric_phase_time(n, alphas, parity)))
-    sat = None
-    below = np.abs(rate) < tol
-    for i in range(alphas.size):
-        if np.all(below[i:]):
-            sat = float(alphas[i])
-            break
     return HartmanCurve(parameter=alphas, t_over_tau=rate, ratio_to_limit=None,
                         limit_description="zero normalized time",
-                        saturation_parameter=sat)
+                        saturation_parameter=_saturation_start(alphas, np.abs(rate) < tol))
 
 
 def hartman_curve_relativistic(upsilon: float, wL: float, n_sq_grid) -> HartmanCurve:

@@ -189,7 +189,15 @@ def above_barrier_phase_derivative(k, cfg: PhysicalConfig):
 # one-sided incidence, non-relativistic tunneling
 # ---------------------------------------------------------------------------
 
-def _tunnel_parts(k, w: float, L: float):
+def _check_tunnel_zone(k, w: float, what: str) -> None:
+    """ZoneError unless 0 < k < w; ``what`` names the quantity, e.g. "tunneling phase needs"."""
+    if np.any(np.asarray(k) <= 0.0) or np.any(np.asarray(k) >= w):
+        raise ZoneError(f"{what} 0 < k < w = {w:g}")
+
+
+def _tunnel_parts(k, w: float, L: float, what: str):
+    """rho, sinh, cosh, F and theta of the tunneling solution, after the 0 < k < w check."""
+    _check_tunnel_zone(k, w, what)
     rho = np.sqrt(w * w - k * k)
     sh, ch = np.sinh(rho * L), np.cosh(rho * L)
     F = np.hypot(2.0 * k * rho * ch, (2.0 * k * k - w * w) * sh)
@@ -206,9 +214,7 @@ def tunnel_amplitude_nr(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    if np.any(k <= 0.0) or np.any(k >= w):
-        raise ZoneError(f"tunneling amplitudes need 0 < k < w = {w:g}")
-    rho, sh, ch, F, theta = _tunnel_parts(k, w, L)
+    rho, sh, ch, F, theta = _tunnel_parts(k, w, L, "tunneling amplitudes need")
     phase = np.exp(1j * theta)
     T_exit = (2.0 * k * rho / F) * phase       # transmitted amp at the exit face
     R = -1j * (w * w / F) * sh * phase
@@ -225,9 +231,7 @@ def tunnel_phase(k_grid, cfg: PhysicalConfig) -> np.ndarray:
     """Tunneling transmission phase on a grid, unwrapped (monotone in k)."""
     k_grid = np.asarray(k_grid, dtype=float)
     w, L = cfg.w, cfg.L
-    if np.any(k_grid <= 0.0) or np.any(k_grid >= w):
-        raise ZoneError(f"tunneling phase needs 0 < k < w = {w:g}")
-    theta = _tunnel_parts(k_grid, w, L)[4]
+    theta = _tunnel_parts(k_grid, w, L, "tunneling phase needs")[4]
     return unwrap_phase(theta, period=2.0 * math.pi)
 
 
@@ -239,8 +243,7 @@ def tunnel_phase_derivative(k, cfg: PhysicalConfig):
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    if np.any(k <= 0.0) or np.any(k >= w):
-        raise ZoneError(f"tunneling phase derivative needs 0 < k < w = {w:g}")
+    _check_tunnel_zone(k, w, "tunneling phase derivative needs")
     rho = np.sqrt(w * w - k * k)
     alpha = rho * L
     small = alpha < 1e-6
@@ -331,11 +334,6 @@ def multipeak_sums(k, cfg: PhysicalConfig) -> ScatterCoeffs:
 # symmetric two-packet collision (barrier on [-L/2, L/2], tunneling zone)
 # ---------------------------------------------------------------------------
 
-def _check_tunnel_zone(k, w: float) -> None:
-    if np.any(np.asarray(k) <= 0.0) or np.any(np.asarray(k) >= w):
-        raise ZoneError(f"symmetric collision amplitudes need 0 < k < w = {w:g}")
-
-
 def symmetric_amplitudes(k, cfg: PhysicalConfig):
     """Reflection and transmission amplitudes seen by either colliding packet.
 
@@ -350,7 +348,7 @@ def symmetric_amplitudes(k, cfg: PhysicalConfig):
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    _check_tunnel_zone(k, w)
+    _check_tunnel_zone(k, w, "symmetric collision amplitudes need")
     rho = np.sqrt(w * w - k * k)
     sh, ch = np.sinh(rho * L), np.cosh(rho * L)
     D = (2.0 * k * k - w * w) * sh + 2j * k * rho * ch
@@ -369,7 +367,7 @@ def symmetric_phase(k, cfg: PhysicalConfig, parity: Parity):
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    _check_tunnel_zone(k, w)
+    _check_tunnel_zone(k, w, "symmetric collision amplitudes need")
     sgn = parity.sign
     rho = np.sqrt(w * w - k * k)
     th = np.tanh(rho * L)
@@ -398,9 +396,7 @@ def symmetric_intra_barrier_coeffs(k, cfg: PhysicalConfig):
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    _check_tunnel_zone(k, w)
-    rho = np.sqrt(w * w - k * k)
-    _, sh, ch, F, theta = _tunnel_parts(k, w, L)
+    rho, sh, ch, F, theta = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
     T_exit = (2.0 * k * rho / F) * np.exp(1j * theta)
     half = 0.5 * L
     # frame shift from [0, L]: renormalizing the incident wave contributes e^{-ikL/2}

@@ -23,7 +23,7 @@ from .core import (
     ZoneError,
     momentum_window,
 )
-from .stationary import above_barrier_coeffs, above_barrier_phase_derivative
+from .stationary import _tunnel_parts, above_barrier_coeffs, above_barrier_phase_derivative
 
 __all__ = [
     "SpatialGrid",
@@ -323,8 +323,6 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
     clipped to the tunneling zone (0, w), refined as in `propagate_component`;
     `t` is one time or a sequence of times, as there.
     """
-    from .stationary import tunnel_amplitude_nr
-
     if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
         raise ZoneError("tunnel propagation uses the non-relativistic solutions")
     half = 0.5 * cfg.L
@@ -334,9 +332,8 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
     lo, hi = momentum_window(cfg, lower=1e-12 * cfg.w, upper=cfg.w * (1.0 - 1e-12))
 
     def amplitude(k, times):
-        sc = tunnel_amplitude_nr(k, cfg)
-        T_exit = (2.0 * k * np.sqrt(cfg.w ** 2 - k * k) / sc.F) * np.exp(1j * sc.theta)
-        return T_exit * _packet(k, times, cfg)
+        rho, _, _, F, theta = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
+        return (2.0 * k * rho / F) * np.exp(1j * theta) * _packet(k, times, cfg)
 
     return _fields(grid, times, single, "transmitted-tunnel",
                    *_spectral_field(amplitude, times, lo, hi, grid.x - half, grid.spacing,

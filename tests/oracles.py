@@ -5,12 +5,19 @@ amplitudes come from a 2x2 transfer-matrix product over the interfaces,
 derivatives come from central finite differences, spectral sums are
 accumulated one momentum at a time instead of by FFT, and the filtered
 spectrum's maximum is a 40-digit root of its logarithmic derivative.
+Emitted tables are checked against a cell-by-cell writer that hands the
+whole JSON mirror to the standard library's encoder.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import mpmath
 import numpy as np
+
+from tunnellab.lab import ScenarioError, _format_value
 
 
 def transfer_matrix_amplitudes(k: float, kappa_inside: complex, L: float):
@@ -87,3 +94,44 @@ def filtered_spectrum_argmax(w: float, a: float, k0: float, L: float,
 
         return float(mpmath.findroot(slope, (mpmath.mpf(lo), mpmath.mpf(hi)),
                                      solver="anderson"))
+
+
+def reference_emit(tables, prefix: str, *, json_mirror: bool = False,
+                   timestamp: str | None = None) -> list[Path]:
+    """The files of ``emit_tables``, written one cell at a time.
+
+    Every CSV cell goes through ``_format_value``; the JSON mirror is one
+    ``json.dumps(payload, indent=1, sort_keys=True)`` of the provenance, the
+    columns and the rows with every non-string cell as a float.
+    """
+    out_paths: list[Path] = []
+    prefix_path = Path(prefix)
+    prefix_path.parent.mkdir(parents=True, exist_ok=True)
+    for table in tables:
+        for row in table.rows:
+            if len(row) != len(table.columns):
+                raise ScenarioError(f"table {table.name!r}: row of width {len(row)} does not "
+                                    f"match {len(table.columns)} columns")
+        lines = [f"# {key} = {_format_value(value)}" for key, value in table.provenance.items()]
+        if timestamp is not None:
+            lines.append(f"# generated_at = {timestamp}")
+        lines.append(",".join(table.columns))
+        lines += [",".join(_format_value(v) for v in row) for row in table.rows]
+        path = prefix_path.parent / f"{prefix_path.name}_{table.name}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_paths.append(path)
+        if json_mirror:
+            payload = {
+                "provenance": {k: (v if isinstance(v, str) else _format_value(v))
+                               for k, v in table.provenance.items()},
+                "columns": table.columns,
+                "rows": [[v if isinstance(v, str) else float(v) for v in row]
+                         for row in table.rows],
+            }
+            if timestamp is not None:
+                payload["provenance"]["generated_at"] = timestamp
+            jpath = path.with_suffix(".json")
+            jpath.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
+                             encoding="utf-8")
+            out_paths.append(jpath)
+    return out_paths

@@ -1,13 +1,19 @@
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_emit
 from tunnellab import lab
 from tunnellab.cli import main
 from tunnellab.lab import (
+    SCENARIO_NAMES,
     ConfigError,
+    ResultTable,
     ScenarioError,
     emit_tables,
     parse_config,
@@ -432,6 +438,73 @@ class TestEmission:
         payload = json.loads(jpath.read_text())
         assert payload["columns"][0] == "n"
         assert len(payload["rows"]) == 7
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e308, -1e308])
+_INTS = st.integers(-10 ** 20, 10 ** 20) | st.sampled_from([10 ** 9 + 7, -(10 ** 12)])
+_TEXT = st.text(st.sampled_from('",\\%*-\n\té€😀') | st.characters(codec="utf-8"), max_size=6)
+_CELLS = {
+    "float": _FLOATS,
+    "str": _TEXT,
+    "int": _INTS,
+    "numpy": _FLOATS.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "mixed": _FLOATS | st.just("*") | _INTS,   # a column like table1's kmax_a
+}
+_PROVENANCE = st.dictionaries(
+    _TEXT | st.just("generated_at"),
+    _TEXT | _FLOATS | _INTS | st.booleans() | st.lists(_FLOATS | _INTS, max_size=3),
+    max_size=4)
+
+
+@st.composite
+def _emitted_tables(draw):
+    tables = []
+    for index in range(draw(st.integers(1, 3))):
+        kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=5))
+        rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=6))
+        rows = [list(row) if draw(st.booleans()) else row for row in rows]
+        columns = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
+        tables.append(ResultTable(f"t{index}", columns, rows, draw(_PROVENANCE)))
+    return tables
+
+
+def _assert_same_files(tables, directory, **options):
+    got = emit_tables(tables, f"{directory}/got/out", **options)
+    want = reference_emit(tables, f"{directory}/want/out", **options)
+    assert [path.name for path in got] == [path.name for path in want]
+    for got_path, want_path in zip(got, want):
+        assert got_path.read_bytes() == want_path.read_bytes(), got_path.name
+
+
+class TestEmissionMatchesReference:
+    """emit_tables writes byte for byte what the cell-by-cell reference writes."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tables=_emitted_tables(), json_mirror=st.booleans(),
+           timestamp=st.none() | st.just("2026-01-01T00:00:00+00:00") | _TEXT)
+    def test_generated_tables(self, tables, json_mirror, timestamp):
+        with tempfile.TemporaryDirectory() as directory:
+            _assert_same_files(tables, directory, json_mirror=json_mirror, timestamp=timestamp)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenario_defaults(self, name, tmp_path):
+        tables = run_scenario(parse_config("{}", scenario=name))
+        _assert_same_files(tables, tmp_path, json_mirror=True, timestamp=None)
+
+    def test_empty_and_zero_width_tables(self, tmp_path):
+        tables = [ResultTable("empty", ["a", "b"], []), ResultTable("bare", [], [(), []]),
+                  ResultTable("none", [], [])]
+        _assert_same_files(tables, tmp_path, json_mirror=True, timestamp="now")
+
+    @pytest.mark.parametrize("rows, width", [([(1.0, 2.0), (1.0,), ()], 1),
+                                             ([[1.0, "x"], ("y", 2.0, 3.0)], 3)])
+    def test_row_width_must_match_the_columns(self, rows, width, tmp_path):
+        with pytest.raises(ScenarioError, match=f"row of width {width} does not match 2 columns"):
+            emit_tables([ResultTable("bad", ["a", "b"], rows)], str(tmp_path / "out"),
+                        json_mirror=True)
+        assert list(tmp_path.iterdir()) == []   # checked before the table's files are opened
 
 
 class TestCli:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import central_difference, filtered_spectrum_argmax
 
@@ -648,6 +650,29 @@ class TestHartman:
         grid = np.linspace(1.5 + 1e-4, 3.5 - 1e-4, 301)
         curve = hartman_curve_relativistic(5.0, 2.0 * math.pi, grid)
         assert np.all(np.isfinite(curve.t_over_tau))
+
+    @pytest.mark.parametrize("within, expected", [
+        ([True, True, True, True], 1.0),       # all in band: the first value
+        ([False, False, False, False], None),  # none in band
+        ([True, True, True, False], None),     # only the last value out
+        ([True, False, True, True], 3.0),      # back in band after an excursion
+        ([], None),                            # empty sweep
+    ])
+    def test_saturation_start_cases(self, within, expected):
+        parameter = np.arange(1.0, 1.0 + len(within))
+        assert observables._saturation_start(parameter, np.array(within, dtype=bool)) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.booleans(), max_size=12))
+    def test_saturation_start_is_first_index_of_an_in_band_tail(self, within):
+        parameter = np.linspace(0.5, 7.0, len(within))
+        tails = [i for i in range(len(within)) if all(within[i:])]
+        expected = float(parameter[tails[0]]) if tails else None
+        assert observables._saturation_start(parameter, np.array(within, dtype=bool)) == expected
+
+    def test_empty_sweeps_do_not_saturate(self):
+        assert hartman_curve_nr(0.5, np.array([])).saturation_parameter is None
+        assert hartman_curve_symmetric(0.5, np.array([]), Parity.SYMMETRIC).saturation_parameter is None
 
 
 class TestNrTransmissionMag:
