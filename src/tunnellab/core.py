@@ -194,7 +194,9 @@ def evanescent_rate(k, cfg: PhysicalConfig):
     """Evanescent decay rate rho inside the barrier.
 
     Non-relativistic: rho = sqrt(w^2 - k^2) for 0 < k <= w.
-    Relativistic:     rho = sqrt(m^2 - (E - V0)^2) for |E - V0| <= m.
+    Relativistic:     rho = sqrt(m^2 - (E - V0)^2) for |E - V0| <= m, formed as
+    sqrt((V0 - d)(2m + d - V0)) with d = E - m = k^2/(E + m), which does not
+    cancel when E and V0 + m are both close to m.
     """
     k = np.asarray(k, dtype=float)
     if cfg.dispersion is Dispersion.NONRELATIVISTIC:
@@ -203,8 +205,8 @@ def evanescent_rate(k, cfg: PhysicalConfig):
             raise ZoneError(f"rho is real only in the tunneling zone: valid interval is (0, w] with w = {w:g}")
         out = np.sqrt(w * w - k * k)
     else:
-        E = np.asarray(energy(k, cfg), dtype=float)
-        arg = cfg.m * cfg.m - (E - cfg.V0) ** 2
+        d = k * k / (np.asarray(energy(k, cfg), dtype=float) + cfg.m)
+        arg = (cfg.V0 - d) * (2.0 * cfg.m + d - cfg.V0)
         if np.any(arg < 0.0):
             raise ZoneError(
                 "rho is real only in the relativistic tunneling zone |E - V0| <= m "

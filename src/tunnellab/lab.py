@@ -25,6 +25,7 @@ from . import __version__
 from .core import PhysicalConfig, ZoneError
 from .stationary import Parity, relativistic_transmission
 from .observables import (
+    _saturation_start,
     hartman_curve_nr,
     hartman_curve_relativistic,
     hartman_curve_symmetric,
@@ -434,16 +435,18 @@ def _run_table1(config: dict, sweep) -> list[ResultTable]:
 def _run_nr_phase(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     alphas = sweep.values() if sweep else np.linspace(config["alpha_min"], config["alpha_max"],
                                                       config["alpha_steps"])
-    rows = []
-    sat_rows = []
-    for n in config["n_values"]:
-        curve = hartman_curve_nr(n, alphas, tol=config["saturation_tol"])
-        boson = np.atleast_1d(symmetric_phase_time(n, alphas, Parity.SYMMETRIC))
-        fermion = np.atleast_1d(symmetric_phase_time(n, alphas, Parity.ANTISYMMETRIC))
-        rows += _rows([np.full(alphas.size, n), curve.parameter, curve.t_over_tau,
-                       curve.ratio_to_limit, boson, fermion])
-        sat_rows.append((n, curve.saturation_parameter
-                         if curve.saturation_parameter is not None else math.nan))
+    # one (n x alpha) grid per rate; the symmetric rates check 0 < n < 1 and alpha >= 0 first
+    ns = np.asarray(config["n_values"], dtype=float)[:, None]
+    boson = symmetric_phase_time(ns, alphas, Parity.SYMMETRIC)
+    fermion = symmetric_phase_time(ns, alphas, Parity.ANTISYMMETRIC)
+    rate = nr_one_way_rate(ns, alphas)
+    ratio = 0.5 * alphas * rate
+    grid = np.broadcast_arrays(ns, alphas, rate, ratio, boson, fermion)
+    rows = _rows([col.ravel() for col in grid])
+    starts = [_saturation_start(alphas, band)
+              for band in np.abs(ratio - 1.0) < config["saturation_tol"]]
+    sat_rows = [(n, math.nan if start is None else start)
+                for n, start in zip(config["n_values"], starts)]
     return [
         ResultTable(name="one_way_rate",
                     columns=["n", "alpha", "t_over_tau", "ratio_to_opaque_limit",

@@ -25,10 +25,11 @@ from .core import (
     Dispersion,
     PhysicalConfig,
     ZoneError,
+    evanescent_rate,
     rho_n_squared,
 )
+from ._hyperbolic import one_way_rate, scaled
 from .stationary import (
-    _SCALE_ARG,
     Parity,
     above_barrier_phase_derivative,
     kg_scatter_coeffs,
@@ -73,8 +74,6 @@ __all__ = [
     "hartman_curve_relativistic",
 ]
 
-_SERIES_EPS = 1e-6    # small-argument switch for 0/0-prone boundary evaluations
-_SINH_SERIES_X = 0.5  # below this, sinh(x) - x and sinh(2x) - 2x are summed as series
 _FIELD_ROWS = 1024    # rows per (rows x n_quad) interior field of the identity check
 
 
@@ -96,26 +95,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     xs.flags.writeable = False
     wq.flags.writeable = False
     return xs, wq
-
-
-def _sinhc_minus_1_series(x2: np.ndarray) -> np.ndarray:
-    """sinh(x)/x - 1 as its Taylor series in x^2, for x^2 <= 1.
-
-    x^2/6 (1 + x^2/20 (1 + x^2/42 (...))) through x^18: the first dropped
-    term is below 2e-19 of the sum at x = 1.
-    """
-    tail = np.ones_like(x2)
-    for k in range(8, 0, -1):
-        tail = 1.0 + x2 * tail / ((2 * k + 2) * (2 * k + 3))
-    return x2 / 6.0 * tail
-
-
-def _sinh_minus_x(x: np.ndarray) -> np.ndarray:
-    """sinh(x) - x, summed as a series below _SINH_SERIES_X, where the
-    difference would cancel (relative error below 1e-14 for every x >= 0)."""
-    small = x < _SINH_SERIES_X
-    safe = np.where(small, 1.0, x)
-    return np.where(small, x * _sinhc_minus_1_series(x * x), np.sinh(safe) - safe)
 
 
 @dataclass(frozen=True)
@@ -212,7 +191,7 @@ def nr_transmission_mag(k, w: float, L: float):
     (k,), scalar = _as_1d(k)
     rho_sq = w * w - k * k
     x_sq = rho_sq * L * L
-    small = x_sq < _SERIES_EPS ** 2
+    small = x_sq < 1e-12
     safe = np.where(small, 1.0, x_sq)
     ratio = np.where(small, L * L * (1.0 + x_sq / 3.0),
                      np.sinh(np.sqrt(safe)) ** 2 / np.where(small, 1.0, rho_sq))
@@ -223,40 +202,18 @@ def nr_phase_time(k_eval, cfg: PhysicalConfig):
     """One-way tunneling phase time at momentum k_eval in (0, w).
 
     t = (2 m L / (k alpha)) [w^4 sinh(a)cosh(a) - (2k^2 - w^2) k^2 a]
-        / [4 k^2 rho^2 + w^4 sinh^2 a],   a = rho L.
+        / [4 k^2 rho^2 + w^4 sinh^2 a],   a = rho L,
 
-    Finite everywhere in the zone interior; the barrier-top edge is handled
-    by its series form, the deep-opaque regime by scaled exponentials.
+    that is (m L / k) times the one-way rate at n = k^2/w^2, n_bar =
+    rho^2/w^2, finite from the barrier-top edge to the deep-opaque regime.
     """
     (k,), scalar = _as_1d(k_eval)
     w, L, m = cfg.w, cfg.L, cfg.m
     if np.any(k <= 0.0) or np.any(k >= w):
         raise ZoneError(f"phase time needs 0 < k < w = {w:g}")
-    rho = np.sqrt(w * w - k * k)
-    alpha = rho * L
-    k2 = k * k
-    out = np.empty_like(alpha)
-    small = alpha < _SERIES_EPS
-    big = alpha > _SCALE_ARG
-    mid = ~(small | big)
-    if np.any(mid):
-        a, kk, rr = alpha[mid], k2[mid], rho[mid] ** 2
-        num = w ** 4 * np.sinh(a) * np.cosh(a) - (2.0 * kk - w * w) * kk * a
-        den = 4.0 * kk * rr + w ** 4 * np.sinh(a) ** 2
-        out[mid] = (2.0 * m * L / (np.sqrt(kk) * a)) * num / den
-    if np.any(small):
-        kk = k2[small]
-        # a -> 0 at fixed L: t -> (2mL/k)[(w^2 + 2k^2) + (2/3) w^4 L^2]/(4k^2 + w^4 L^2)
-        out[small] = (2.0 * m * L / np.sqrt(kk)) \
-            * ((w * w + 2.0 * kk) + (2.0 / 3.0) * w ** 4 * L * L) \
-            / (4.0 * kk + w ** 4 * L * L)
-    if np.any(big):
-        a, kk, rr = alpha[big], k2[big], rho[big] ** 2
-        e2 = np.exp(-2.0 * a)
-        num = w ** 4 * (1.0 - e2 * e2) - (2.0 * kk - w * w) * kk * 4.0 * a * e2
-        den = 16.0 * kk * rr * e2 + w ** 4 * (1.0 - e2) ** 2
-        out[big] = (2.0 * m * L / (np.sqrt(kk) * a)) * num / den
-    return _restore(out, scalar)
+    rho_sq = w * w - k * k
+    rate = one_way_rate(k * k / (w * w), rho_sq / (w * w), np.sqrt(rho_sq) * L)
+    return _restore(m * L / k * rate, scalar)
 
 
 def nr_opaque_limit_time(k, cfg: PhysicalConfig):
@@ -275,64 +232,28 @@ def nr_one_way_rate(n, alpha):
     Limits: 1 + 1/(2n) as alpha -> 0 and 0 as alpha -> infinity.
     """
     (n, alpha), scalar = _as_1d(n, alpha)
-    out = np.empty_like(alpha)
-    small = alpha < _SERIES_EPS
-    big = alpha > _SCALE_ARG
-    mid = ~(small | big)
-    if np.any(mid):
-        a, nn = alpha[mid], n[mid]
-        num = np.sinh(a) * np.cosh(a) - a * nn * (2.0 * nn - 1.0)
-        den = 4.0 * nn * (1.0 - nn) + np.sinh(a) ** 2
-        out[mid] = (2.0 / a) * num / den
-    if np.any(small):
-        a, nn = alpha[small], n[small]
-        out[small] = 2.0 * ((1.0 - nn) * (1.0 + 2.0 * nn) + 2.0 * a * a / 3.0) \
-            / (4.0 * nn * (1.0 - nn) + a * a)
-    if np.any(big):
-        a, nn = alpha[big], n[big]
-        e2 = np.exp(-2.0 * a)
-        num = 1.0 - e2 * e2 - 4.0 * a * e2 * nn * (2.0 * nn - 1.0)
-        den = 16.0 * nn * (1.0 - nn) * e2 + (1.0 - e2) ** 2
-        out[big] = (2.0 / a) * num / den
-    return _restore(out, scalar)
+    return _restore(one_way_rate(n, 1.0 - n, alpha), scalar)
 
 
 def phase_time_shape(alpha):
-    """Shape function G = (sinh cosh - alpha)/sinh^2 of the barrier-top time.
+    """Shape function G = (sinh cosh - alpha)/sinh^2 = alpha p/q of the barrier-top time.
 
     G(alpha)/alpha -> 2/3 as alpha -> 0; G -> 1 as alpha -> infinity.
     """
     (alpha,), scalar = _as_1d(alpha)
-    out = np.empty_like(alpha)
-    small = alpha < 5e-2
-    big = alpha > _SCALE_ARG
-    mid = ~(small | big)
-    if np.any(mid):
-        a = alpha[mid]
-        out[mid] = (np.sinh(a) * np.cosh(a) - a) / np.sinh(a) ** 2
-    if np.any(small):
-        a2 = alpha[small] ** 2
-        out[small] = (2.0 * alpha[small] / 3.0) * (1.0 - 2.0 * a2 / 15.0 + 2.0 * a2 * a2 / 105.0)
-    if np.any(big):
-        a = alpha[big]
-        e2 = np.exp(-2.0 * a)
-        out[big] = (1.0 - e2 * e2 - 4.0 * a * e2) / (1.0 - e2) ** 2
-    return _restore(out, scalar)
+    _, p, q, _ = scaled(alpha)
+    return _restore(alpha * p / q, scalar)
 
 
 def barrier_top_time(alpha, cfg: PhysicalConfig):
-    """Transmission time at the barrier top, (2 m L / (w alpha)) G(alpha).
+    """Transmission time at the barrier top, (2 m L / (w alpha)) G(alpha) = (2 m L / w) p/q.
 
     Linear in L with slope 4m/(3w) as alpha -> 0; approaches
     2m/(w sqrt(w^2 - k^2)) deep in the opaque regime.
     """
     (alpha,), scalar = _as_1d(alpha)
-    g = np.atleast_1d(np.asarray(phase_time_shape(alpha), dtype=float))
-    small = alpha < 5e-2
-    g_over_a = np.where(small,
-                        (2.0 / 3.0) * (1.0 - 2.0 * alpha ** 2 / 15.0),
-                        g / np.where(small, 1.0, alpha))
-    return _restore(2.0 * cfg.m * cfg.L / cfg.w * g_over_a, scalar)
+    _, p, q, _ = scaled(alpha)
+    return _restore(2.0 * cfg.m * cfg.L / cfg.w * p / q, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -428,57 +349,26 @@ def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 def _symmetric_ratio(n, alpha, sign: int, which: str):
-    """Shared evaluator for the phase/dwell/self-interference ratios."""
+    """Shared evaluator for the phase/dwell/self-interference ratios.
+
+    Numerators and the denominator 2n - 1 +- cosh alpha are scaled by
+    s = 4 e^{-alpha}, the scaled pieces taken at alpha/2: s sinh alpha =
+    alpha (s + m p) and s cosh alpha = s + 2 m q.  No sum below cancels;
+    2n - 1 + sign is formed as 2n + (sign - 1) for that reason.
+    """
     (n, alpha), scalar = _as_1d(n, alpha)
     if np.any(n <= 0.0) or np.any(n >= 1.0):
         raise ZoneError("the symmetric triple needs 0 < n < 1")
     if np.any(alpha < 0.0):
         raise ValueError("alpha must be >= 0")
-    out = np.empty_like(alpha)
-    small = alpha < _SERIES_EPS
-    big = alpha > _SCALE_ARG
-    mid = ~(small | big)
-    if np.any(mid):
-        a, nn = alpha[mid], n[mid]
-        sh, ch = np.sinh(a), np.cosh(a)
-        den = 2.0 * nn - 1.0 + sign * ch
-        if which == "phase":
-            out[mid] = (2.0 / a) * (nn * a + sign * sh) / den
-        elif which == "dwell":
-            # the fermion's a - sinh a cancels at small a
-            gap = a + sh if sign > 0 else -_sinh_minus_x(a)
-            out[mid] = (2.0 * nn / a) * gap / den
-        else:
-            out[mid] = sign * (2.0 / a) * (1.0 - nn) * sh / den
-    if np.any(small):
-        a2, nn = alpha[small] ** 2, n[small]
-        if sign > 0:
-            if which == "phase":
-                out[small] = (1.0 + 1.0 / nn) * (1.0 + a2 * (1.0 / (6.0 * (nn + 1.0)) - 1.0 / (4.0 * nn)))
-            elif which == "dwell":
-                out[small] = 2.0 * (1.0 + a2 * (1.0 / 12.0 - 1.0 / (4.0 * nn)))
-            else:
-                out[small] = ((1.0 - nn) / nn) * (1.0 + a2 * (1.0 / 6.0 - 1.0 / (4.0 * nn)))
-        else:
-            if which == "phase":
-                out[small] = 1.0 + a2 / (12.0 * (nn - 1.0))
-            elif which == "dwell":
-                out[small] = (nn * a2 / (6.0 * (1.0 - nn))) \
-                    * (1.0 + a2 * (1.0 / 20.0 - 1.0 / (4.0 * (1.0 - nn))))
-            else:
-                out[small] = 1.0 + a2 * (1.0 / 6.0 - 1.0 / (4.0 * (1.0 - nn)))
-    if np.any(big):
-        a, nn = alpha[big], n[big]
-        e = np.exp(-a)
-        e2 = e * e
-        den = 2.0 * (2.0 * nn - 1.0) * e + sign * (1.0 + e2)
-        if which == "phase":
-            out[big] = (2.0 / a) * (2.0 * nn * a * e + sign * (1.0 - e2)) / den
-        elif which == "dwell":
-            out[big] = (2.0 * nn / a) * (2.0 * a * e + sign * (1.0 - e2)) / den
-        else:
-            out[big] = sign * (2.0 / a) * (1.0 - nn) * (1.0 - e2) / den
-    return _restore(out, scalar)
+    s, p, q, m = scaled(0.5 * alpha)
+    if which == "phase":
+        num = (n + sign) * s + sign * m * p
+    elif which == "dwell":
+        num = n * ((1 + sign) * s + sign * m * p)
+    else:
+        num = sign * (1.0 - n) * (s + m * p)
+    return _restore(2.0 * num / ((2.0 * n + (sign - 1)) * s + 2.0 * sign * m * q), scalar)
 
 
 def symmetric_phase_time(n, alpha, parity: Parity):
@@ -557,24 +447,6 @@ def _rel_S(n_sq, upsilon: float):
     return np.sqrt(1.0 + 2.0 * n_sq * upsilon)
 
 
-def _shch_over_x_minus_1(x: np.ndarray) -> np.ndarray:
-    """sinh(x) cosh(x)/x - 1 = sinh(2x)/(2x) - 1, stable for small x
-    (relative error below 1e-14 for every x >= 0)."""
-    small = x < _SINH_SERIES_X
-    safe = np.where(small, 1.0, x)
-    return np.where(small, _sinhc_minus_1_series(4.0 * x * x),
-                    np.sinh(safe) * np.cosh(safe) / safe - 1.0)
-
-
-def _sinh_sq(x: np.ndarray) -> np.ndarray:
-    """sinh(x)^2, by its series through x^8 below x = 0.05."""
-    small = x < 0.05
-    safe = np.where(small, 1.0, x)
-    x2 = x * x
-    series = x2 * (1.0 + x2 / 3.0 * (1.0 + 2.0 * x2 / 15.0 * (1.0 + x2 / 14.0)))
-    return np.where(small, series, np.sinh(safe) ** 2)
-
-
 def _rel_phase_brackets(n_sq, upsilon: float):
     """Polynomial brackets of the phase-time ratio; zero-order parts vanish
     at the zone edges."""
@@ -600,20 +472,8 @@ def rel_phase_time(n_sq, upsilon: float, wL: float):
     _check_rel_zone(n_sq, upsilon)
     x = np.sqrt(rho_n_squared(n_sq, upsilon)) * wL
     A, B, C, D = _rel_phase_brackets(n_sq, upsilon)
-    out = np.empty_like(x)
-    big = x > _SCALE_ARG
-    if np.any(~big):
-        xs = x[~big]
-        shch = 1.0 + _shch_over_x_minus_1(xs)
-        out[~big] = (A[~big] + B[~big] * shch) / (C[~big] + D[~big] * _sinh_sq(xs))
-    if np.any(big):
-        xs = x[big]
-        e2 = np.exp(-2.0 * xs)
-        shch_s = (1.0 - e2 * e2) / xs         # 4 e^{-2x} sinh cosh / x
-        sh2_s = (1.0 - e2) ** 2               # 4 e^{-2x} sinh^2
-        out[big] = (4.0 * A[big] * e2 + B[big] * shch_s) \
-            / (4.0 * C[big] * e2 + D[big] * sh2_s)
-    return _restore(out, scalar)
+    s, p, q, m = scaled(x)
+    return _restore(((A + B) * s + B * m * p) / (C * s + D * m * q), scalar)
 
 
 def rel_phase_time_near_edge(n_sq, upsilon: float):
@@ -673,22 +533,10 @@ def _rel_dwell_ratio(n_sq, upsilon: float, wL: float, continuity: bool):
     rn_sq = rho_n_squared(n_sq, upsilon)
     K4 = (n_sq + rn_sq) ** 2 if continuity else np.ones_like(n_sq)
     x = np.sqrt(rn_sq) * wL
-    out = np.empty_like(x)
-    big = x > _SCALE_ARG
-    if np.any(~big):
-        xs = x[~big]
-        num = 2.0 * rn_sq[~big] + (rn_sq[~big] + n_sq[~big]) * _shch_over_x_minus_1(xs)
-        den = 2.0 * S[~big] * (rn_sq[~big] + K4[~big] * _sinh_sq(xs) / (4.0 * n_sq[~big]))
-        out[~big] = num / den
-    if np.any(big):
-        xs = x[big]
-        e2 = np.exp(-2.0 * xs)
-        num = 8.0 * rn_sq[big] * e2 \
-            + (rn_sq[big] + n_sq[big]) * ((1.0 - e2 * e2) / xs - 4.0 * e2)
-        den = 2.0 * S[big] * (4.0 * rn_sq[big] * e2
-                              + K4[big] * (1.0 - e2) ** 2 / (4.0 * n_sq[big]))
-        out[big] = num / den
-    return _restore(out, scalar)
+    s, p, q, m = scaled(x)
+    num = 2.0 * rn_sq * s + (rn_sq + n_sq) * m * p
+    den = 2.0 * S * (rn_sq * s + K4 * m * q / (4.0 * n_sq))
+    return _restore(num / den, scalar)
 
 
 def rel_dwell(n_sq, upsilon: float, wL: float):
@@ -797,7 +645,7 @@ def rel_variational_residual(n_sq, upsilon: float, wL: float, n_quad: int = 160)
     k, cfg, sc = _kg_continuity(n_sq, upsilon, wL)
     L, V0 = cfg.L, cfg.V0
     E = np.sqrt(k * k + 1.0)
-    rho = np.sqrt(1.0 - (E - V0) ** 2)[:, None]
+    rho = evanescent_rate(k, cfg)[:, None]   # the rate the coefficients were built with
     xs, wq = _gauss_legendre(n_quad)
     xs = 0.5 * L * (xs + 1.0)
     wq = wq * 0.5 * L

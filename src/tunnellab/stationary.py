@@ -33,8 +33,7 @@ from .core import (
     propagating_momentum,
     rho_n_squared,
 )
-
-_SCALE_ARG = 300.0    # above this, sinh/cosh are evaluated in scaled form
+from ._hyperbolic import one_way_rate, scaled
 
 __all__ = [
     "Parity",
@@ -239,21 +238,15 @@ def tunnel_phase_derivative(k, cfg: PhysicalConfig):
     """Closed-form d theta/dk in the tunneling zone.
 
     d theta/dk = 2 L [w^4 sinh(a) cosh(a) / a - k^2 (2k^2 - w^2)]
-                 / (4 k^2 rho^2 + w^4 sinh^2 a),   a = rho L.
+                 / (4 k^2 rho^2 + w^4 sinh^2 a),   a = rho L,
+
+    which is L times the one-way rate at n = k^2/w^2, n_bar = rho^2/w^2.
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
     _check_tunnel_zone(k, w, "tunneling phase derivative needs")
-    rho = np.sqrt(w * w - k * k)
-    alpha = rho * L
-    small = alpha < 1e-6
-    safe = np.where(small, 1.0, alpha)
-    shch_over_alpha = np.where(small, 1.0 + 2.0 * alpha * alpha / 3.0,
-                               np.sinh(safe) * np.cosh(safe) / safe)
-    sh2 = np.where(small, alpha * alpha, np.sinh(safe) ** 2)
-    num = w ** 4 * shch_over_alpha - k * k * (2.0 * k * k - w * w)
-    den = 4.0 * k * k * rho * rho + w ** 4 * sh2
-    out = 2.0 * L * num / den
+    rho_sq = w * w - k * k
+    out = L * one_way_rate(k * k / (w * w), rho_sq / (w * w), np.sqrt(rho_sq) * L)
     return out if out.ndim else float(out)
 
 
@@ -419,9 +412,10 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
     phi(n, L) = atan2((n^2 - rho_n^2) tanh(rho_n wL), 2 n rho_n)
 
     with rho_n from :func:`tunnellab.core.rho_n_squared`.  At upsilon = 0 this
-    is exactly the non-relativistic pair (|T|, theta).  Above rho_n wL =
-    _SCALE_ARG |T| is evaluated in scaled form, so it underflows to 0 instead
-    of overflowing.  Returns (T_mag, phi).
+    is exactly the non-relativistic pair (|T|, theta).  |T| is evaluated in
+    scaled form, 2 e^{-x} / sqrt(s + m q / (4 n^2 rho_n^2)) at x = rho_n wL
+    (tunnellab._hyperbolic), so it is finite at the zone edge and underflows
+    to 0 instead of overflowing.  Returns (T_mag, phi).
     """
     n_sq = np.asarray(n_sq, dtype=float)
     zone_d = np.abs(n_sq - 0.5 * upsilon)
@@ -435,19 +429,8 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
     rn = np.sqrt(rn_sq)
     n = np.sqrt(n_sq)
     x = rn * wL
-    # sinh^2(x)/rn_sq -> (wL)^2 (1 + x^2/3) at the zone edge
-    small = x < 1e-6
-    big = x > _SCALE_ARG
-    safe = np.where(small | big, 1.0, x)
-    sinh2_over_rnsq = np.where(small, wL * wL * (1.0 + x * x / 3.0),
-                               np.sinh(safe) ** 2 / np.where(small, 1.0, rn_sq))
-    T_mag = (1.0 + sinh2_over_rnsq / (4.0 * n_sq)) ** -0.5
-    if np.any(big):
-        # sinh^2 would overflow: |T| = e^{-x} / sqrt(e^{-2x} + (1 - e^{-2x})^2 / (16 n^2 rho_n^2))
-        e1 = np.exp(-np.where(big, x, 1.0))
-        e2 = e1 * e1
-        scaled = e1 / np.sqrt(e2 + (1.0 - e2) ** 2 / (16.0 * n_sq * np.where(big, rn_sq, 1.0)))
-        T_mag = np.where(big, scaled, T_mag)
+    s, _, q, m = scaled(x)
+    T_mag = 2.0 * np.exp(-x) / np.sqrt(s + m * q / (4.0 * n_sq * rn_sq))
     phi = np.arctan2((n_sq - rn_sq) * np.tanh(x), 2.0 * n * rn)
     if n_sq.ndim:
         return T_mag, phi

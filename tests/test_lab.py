@@ -258,6 +258,16 @@ class TestConfigSchema:
         spec = parse_config(json.dumps({"config": {"upsilon": lab._UPSILON_MAX}}), "hartman")
         assert run_scenario(spec)[0].provenance["relativistic_curve_finite"]
 
+    def test_identity_residual_at_tiny_upsilon(self):
+        # rho^2 = m^2 - (E - V0)^2 cancels when every E is close to m: it left
+        # a residual of 4.0e-7 at upsilon = 1e-9 and 6.3e-10 at 1e-6
+        for upsilon in (1e-9, 1e-6, 1e-3):
+            spec = parse_config(json.dumps({"config": {"upsilon_values": [upsilon]}}),
+                                "relativistic-times")
+            (table,) = run_scenario(spec)
+            column = table.columns.index("identity_residual")
+            assert max(abs(row[column]) for row in table.rows) < 1e-12
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_opaque_table1_cell_exits_2(self, tmp_path, capsys):
         for wa in (350, 1000):

@@ -6,6 +6,7 @@ import pytest
 from oracles import central_difference, transfer_matrix_amplitudes
 
 from tunnellab.core import PhysicalConfig, ZoneError, evanescent_rate
+from tunnellab.observables import nr_phase_time
 from tunnellab.stationary import (
     Parity,
     above_barrier_coeffs,
@@ -165,6 +166,16 @@ class TestTunnelAmplitude:
             fd = central_difference(
                 lambda kk: float(tunnel_amplitude_nr(kk, cfg).theta), k, 1e-5)
             assert tunnel_phase_derivative(k, cfg) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("rho_L", [400.0, 800.0])
+    def test_phase_derivative_of_an_opaque_barrier(self, rho_L):
+        # sinh(rho L) overflows past rho L of about 355; d theta/dk = (k/m) t_phase
+        m, w, k = 1.5, 2.0, 0.6
+        L = rho_L / math.sqrt(w * w - k * k)
+        opaque = PhysicalConfig.tunneling(m=m, V0=w * w / (2.0 * m), L=L, a=1.0, k0=k)
+        dtheta = tunnel_phase_derivative(k, opaque)
+        assert math.isfinite(dtheta)
+        assert dtheta == pytest.approx(k / m * nr_phase_time(k, opaque), rel=1e-14)
 
 
 class TestMultipeak:
