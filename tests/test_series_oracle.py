@@ -67,6 +67,32 @@ def test_scaled_matches_mpmath(piece):
     assert _worst_relative(values, [_mp_scaled(x)[index] for x in xs]) < _REL
 
 
+def _shch_over_x_minus_1(x):
+    """sinh x cosh x / x - 1 = m p / s, as the one-way rate and phase-time shape use it."""
+    s, p, _, m = _hyperbolic.scaled(x)
+    return m * p / s
+
+
+def _sinh_minus_x(x):
+    """sinh x - x = x m p / s at x / 2, the cancelling part of the fermion dwell."""
+    s, p, _, m = _hyperbolic.scaled(np.asarray(x) / 2.0)
+    return x * m * p / s
+
+
+@pytest.mark.parametrize("helper, exact", [
+    (_sinh_minus_x, lambda x: mpmath.sinh(x) - x),
+    (_shch_over_x_minus_1, lambda x: mpmath.sinh(x) * mpmath.cosh(x) / x - 1),
+])
+def test_sinh_helpers_match_mpmath(helper, exact):
+    # both vanish at x = 0, where a relative error has no meaning
+    xs = _around_switches()
+    xs = xs[xs > 0.0]
+    with mpmath.workdps(50 + 2 * 8):
+        reference = [exact(mpmath.mpf(float(x))) for x in xs]
+    assert _worst_relative(helper(xs), reference) < _REL
+    assert helper(np.array([0.0]))[0] == 0.0
+
+
 @_PROPERTY
 @given(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 350.0)))
 @example(0.5)
