@@ -35,7 +35,6 @@ __all__ = [
     "rho_n_squared",
     "to_dimensionless",
     "from_dimensionless",
-    "spectrum_eval",
     "classical_traversal_time",
     "momentum_window",
 ]
@@ -316,11 +315,6 @@ class GaussianSpectrum:
         out = (self.a ** 2 / (2.0 * np.pi)) ** 0.25 * np.exp(
             -self.a ** 2 * (k - self.k0) ** 2 / 4.0)
         return out if out.ndim else float(out)
-
-
-def spectrum_eval(spectrum: GaussianSpectrum, k):
-    """Amplitude of the Gaussian momentum distribution at momentum k."""
-    return spectrum.amplitude(k)
 
 
 def classical_traversal_time(cfg: PhysicalConfig) -> float:

@@ -26,9 +26,7 @@ from .core import PhysicalConfig, ZoneError
 from .stationary import Parity, relativistic_transmission
 from .observables import (
     _saturation_start,
-    hartman_curve_nr,
-    hartman_curve_relativistic,
-    hartman_curve_symmetric,
+    _symmetric_triple,
     kmax_find,
     naive_above_barrier_times,
     nr_one_way_rate,
@@ -37,9 +35,7 @@ from .observables import (
     rel_rescaled_dwell,
     rel_self_interference,
     rel_variational_residual,
-    symmetric_dwell,
     symmetric_phase_time,
-    symmetric_self_interference,
 )
 from .wavepackets import (
     SpatialGrid,
@@ -464,9 +460,7 @@ def _run_symmetric_times(config: dict, sweep: Sweep | None) -> list[ResultTable]
     alpha = wL * np.sqrt(1.0 - ns)
     columns = [ns, alpha]
     for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
-        tp = symmetric_phase_time(ns, alpha, parity)
-        td = symmetric_dwell(ns, alpha, parity)
-        ts = symmetric_self_interference(ns, alpha, parity)
+        tp, td, ts = _symmetric_triple(ns, alpha, parity)
         columns += [tp, td, ts, tp - td - ts]
     columns.append(nr_one_way_rate(ns, alpha))
     return [ResultTable(
@@ -508,24 +502,25 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTab
 
 def _run_hartman(config: dict, sweep) -> list[ResultTable]:
     alphas = np.linspace(0.5, config["alpha_max"], config["alpha_steps"])
+    # one (n x alpha) grid per family: (label, curve, in-band mask); the one-way
+    # curve is its ratio to the opaque limit, the symmetric ones their rates,
+    # which decay like 2/alpha, so a 5e-2 band is reachable within the default sweep
+    ns = np.asarray(config["n_values"], dtype=float)[:, None]
+    ratio = 0.5 * alphas * nr_one_way_rate(ns, alphas)
+    families = [("one-way", ratio, np.abs(ratio - 1.0) < config["saturation_tol"])]
+    for parity, label in ((Parity.SYMMETRIC, "boson"), (Parity.ANTISYMMETRIC, "fermion")):
+        rate = symmetric_phase_time(ns, alphas, parity)
+        families.append((f"symmetric-{label}", rate, np.abs(rate) < 5e-2))
     rows = []
-    for n in config["n_values"]:
-        nr = hartman_curve_nr(n, alphas, tol=config["saturation_tol"])
-        rows.append(("one-way", n,
-                     nr.saturation_parameter if nr.saturation_parameter is not None else math.nan,
-                     float(nr.ratio_to_limit[-1])))
-        for parity, label in ((Parity.SYMMETRIC, "boson"), (Parity.ANTISYMMETRIC, "fermion")):
-            # the symmetric rates decay like 2/alpha: a 5e-2 band is reachable
-            # within the default sweep
-            sym = hartman_curve_symmetric(n, alphas, parity, tol=5e-2)
-            rows.append((f"symmetric-{label}", n,
-                         sym.saturation_parameter if sym.saturation_parameter is not None else math.nan,
-                         float(sym.t_over_tau[-1])))
+    for i, n in enumerate(config["n_values"]):
+        for label, curve, band in families:
+            start = _saturation_start(alphas, band[i])
+            rows.append((label, n, math.nan if start is None else start, float(curve[i, -1])))
     upsilon = config["upsilon"]
-    rel = hartman_curve_relativistic(upsilon, config["wL"],
-                                     np.linspace(*_zone_bounds(upsilon, _HARTMAN_EDGE_MARGIN), 101))
-    finite = bool(np.all(np.isfinite(rel.t_over_tau)))
-    rows.append(("relativistic", upsilon, math.nan, float(np.max(np.abs(rel.t_over_tau)))))
+    rel = rel_phase_time(np.linspace(*_zone_bounds(upsilon, _HARTMAN_EDGE_MARGIN), 101),
+                         upsilon, config["wL"])
+    finite = bool(np.all(np.isfinite(rel)))
+    rows.append(("relativistic", upsilon, math.nan, float(np.max(np.abs(rel)))))
     return [ResultTable(
         name="hartman_saturation",
         columns=["family", "parameter", "alpha_saturation", "terminal_value"],

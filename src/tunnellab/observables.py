@@ -31,16 +31,15 @@ from .core import (
 from ._hyperbolic import one_way_rate, scaled
 from .stationary import (
     Parity,
+    _check_tunnel_zone,
     above_barrier_phase_derivative,
     kg_scatter_coeffs,
     symmetric_intra_barrier_coeffs,
 )
 
 __all__ = [
-    "TimeObservables",
     "NaiveTimes",
     "SpectralMaximum",
-    "HartmanCurve",
     "naive_above_barrier_times",
     "reflection_delay",
     "nr_transmission_mag",
@@ -56,7 +55,6 @@ __all__ = [
     "symmetric_dwell",
     "symmetric_self_interference",
     "symmetric_dwell_quadrature",
-    "symmetric_time_observables",
     "fermion_acceleration_predicate",
     "rel_phase_time",
     "rel_phase_time_near_edge",
@@ -68,10 +66,6 @@ __all__ = [
     "rel_self_interference",
     "rel_transmission_zone_edge",
     "rel_variational_residual",
-    "rel_time_observables",
-    "hartman_curve_nr",
-    "hartman_curve_symmetric",
-    "hartman_curve_relativistic",
 ]
 
 _FIELD_ROWS = 1024    # rows per (rows x n_quad) interior field of the identity check
@@ -98,18 +92,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class TimeObservables:
-    """Transit-time record for one configuration, in absolute units."""
-
-    tau_k: float
-    t_phase: float
-    t_dwell: float
-    t_self: float
-    t_dwell_rescaled: float | None = None
-    parity: Parity | None = None
-
-
-@dataclass(frozen=True)
 class NaiveTimes:
     """Single-peak reading of the component peak times at one position."""
 
@@ -127,17 +109,6 @@ class SpectralMaximum:
     k_max: float
     distorted: bool
     bracket: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class HartmanCurve:
-    """Sampled t/tau curve over a sweep, with saturation diagnostics."""
-
-    parameter: np.ndarray
-    t_over_tau: np.ndarray
-    ratio_to_limit: np.ndarray | None
-    limit_description: str
-    saturation_parameter: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +180,7 @@ def nr_phase_time(k_eval, cfg: PhysicalConfig):
     """
     (k,), scalar = _as_1d(k_eval)
     w, L, m = cfg.w, cfg.L, cfg.m
-    if np.any(k <= 0.0) or np.any(k >= w):
-        raise ZoneError(f"phase time needs 0 < k < w = {w:g}")
+    _check_tunnel_zone(k, w, "phase time needs")
     rho_sq = w * w - k * k
     rate = one_way_rate(k * k / (w * w), rho_sq / (w * w), np.sqrt(rho_sq) * L)
     return _restore(m * L / k * rate, scalar)
@@ -220,8 +190,7 @@ def nr_opaque_limit_time(k, cfg: PhysicalConfig):
     """Opaque-limit saturation value 2m / (k rho(k)) of the phase time."""
     (k,), scalar = _as_1d(k)
     w = cfg.w
-    if np.any(k <= 0.0) or np.any(k >= w):
-        raise ZoneError(f"opaque limit needs 0 < k < w = {w:g}")
+    _check_tunnel_zone(k, w, "opaque limit needs")
     return _restore(2.0 * cfg.m / (k * np.sqrt(w * w - k * k)), scalar)
 
 
@@ -348,8 +317,8 @@ def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
 # symmetric-collision triple (normalized by tau_k = m L / k)
 # ---------------------------------------------------------------------------
 
-def _symmetric_ratio(n, alpha, sign: int, which: str):
-    """Shared evaluator for the phase/dwell/self-interference ratios.
+def _symmetric_triple(n, alpha, parity: Parity):
+    """(phase, dwell, self-interference) ratios of one parity at (n, alpha).
 
     Numerators and the denominator 2n - 1 +- cosh alpha are scaled by
     s = 4 e^{-alpha}, the scaled pieces taken at alpha/2: s sinh alpha =
@@ -361,14 +330,13 @@ def _symmetric_ratio(n, alpha, sign: int, which: str):
         raise ZoneError("the symmetric triple needs 0 < n < 1")
     if np.any(alpha < 0.0):
         raise ValueError("alpha must be >= 0")
+    sign = parity.sign
     s, p, q, m = scaled(0.5 * alpha)
-    if which == "phase":
-        num = (n + sign) * s + sign * m * p
-    elif which == "dwell":
-        num = n * ((1 + sign) * s + sign * m * p)
-    else:
-        num = sign * (1.0 - n) * (s + m * p)
-    return _restore(2.0 * num / ((2.0 * n + (sign - 1)) * s + 2.0 * sign * m * q), scalar)
+    den = (2.0 * n + (sign - 1)) * s + 2.0 * sign * m * q
+    nums = ((n + sign) * s + sign * m * p,
+            n * ((1 + sign) * s + sign * m * p),
+            sign * (1.0 - n) * (s + m * p))
+    return tuple(_restore(2.0 * num / den, scalar) for num in nums)
 
 
 def symmetric_phase_time(n, alpha, parity: Parity):
@@ -377,12 +345,12 @@ def symmetric_phase_time(n, alpha, parity: Parity):
     t/tau = (2/alpha)(n alpha +- sinh alpha)/(2n - 1 +- cosh alpha); tends to
     1 + 1/n (boson) and 1 (fermion) as alpha -> 0, and to 0 as alpha -> inf.
     """
-    return _symmetric_ratio(n, alpha, parity.sign, "phase")
+    return _symmetric_triple(n, alpha, parity)[0]
 
 
 def symmetric_dwell(n, alpha, parity: Parity):
     """Normalized dwell time (2n/alpha)(alpha +- sinh)/(2n - 1 +- cosh)."""
-    return _symmetric_ratio(n, alpha, parity.sign, "dwell")
+    return _symmetric_triple(n, alpha, parity)[1]
 
 
 def symmetric_self_interference(n, alpha, parity: Parity):
@@ -390,7 +358,7 @@ def symmetric_self_interference(n, alpha, parity: Parity):
 
     Exactly phase - dwell for either parity.
     """
-    return _symmetric_ratio(n, alpha, parity.sign, "self")
+    return _symmetric_triple(n, alpha, parity)[2]
 
 
 def symmetric_dwell_quadrature(cfg: PhysicalConfig, parity: Parity,
@@ -412,18 +380,6 @@ def symmetric_dwell_quadrature(cfg: PhysicalConfig, parity: Parity,
     right = gamma * np.exp(rho * xs) + beta * np.exp(-rho * xs)
     dens = np.abs((left + parity.sign * right) / math.sqrt(2.0)) ** 2
     return float(cfg.m / k * np.sum(wq * dens))
-
-
-def symmetric_time_observables(n: float, alpha: float, parity: Parity,
-                               tau_k: float) -> TimeObservables:
-    """Absolute-time record of the symmetric triple at one (n, alpha)."""
-    return TimeObservables(
-        tau_k=tau_k,
-        t_phase=tau_k * float(symmetric_phase_time(n, alpha, parity)),
-        t_dwell=tau_k * float(symmetric_dwell(n, alpha, parity)),
-        t_self=tau_k * float(symmetric_self_interference(n, alpha, parity)),
-        parity=parity,
-    )
 
 
 def fermion_acceleration_predicate(n, alpha) -> bool:
@@ -487,21 +443,26 @@ def rel_phase_time_near_edge(n_sq, upsilon: float):
     return _restore((2.0 / 3.0) * B / D, scalar)
 
 
+def _zone_edge(upsilon: float, edge: str) -> tuple[float, int]:
+    """(n_sq, sign) of a tunneling-zone edge: n^2 = u/2 + sign, sign -1 (lower) or +1 (upper)."""
+    if edge == "lower":
+        n_sq = 0.5 * upsilon - 1.0
+        if n_sq <= 0.0:
+            raise ZoneError("the lower zone edge needs upsilon > 2")
+        return n_sq, -1
+    if edge == "upper":
+        return 0.5 * upsilon + 1.0, 1
+    raise ValueError("edge must be 'lower' or 'upper'")
+
+
 def rel_phase_time_zone_edge(upsilon: float, edge: str) -> tuple[float, float]:
     """(n_sq_edge, t/tau) at a tunneling-zone edge.
 
     Lower edge n^2 = u/2 - 1 gives -(4/3)/(1 + 2 n^2) (always negative);
     upper edge n^2 = u/2 + 1 gives -(4/3)/(1 - 2 n^2) (positive).
     """
-    if edge == "lower":
-        n_sq = 0.5 * upsilon - 1.0
-        if n_sq <= 0.0:
-            raise ZoneError("the lower zone edge needs upsilon > 2")
-        return n_sq, -(4.0 / 3.0) / (1.0 + 2.0 * n_sq)
-    if edge == "upper":
-        n_sq = 0.5 * upsilon + 1.0
-        return n_sq, -(4.0 / 3.0) / (1.0 - 2.0 * n_sq)
-    raise ValueError("edge must be 'lower' or 'upper'")
+    n_sq, sign = _zone_edge(upsilon, edge)
+    return n_sq, -(4.0 / 3.0) / (1.0 - sign * 2.0 * n_sq)
 
 
 def rel_transmission_zone_edge(upsilon: float, edge: str, wL: float) -> float:
@@ -510,15 +471,8 @@ def rel_transmission_zone_edge(upsilon: float, edge: str, wL: float) -> float:
     Tends to [1 + (mL)^2]^(-1/2) for upsilon >> 1: complete transmission when
     the barrier is much narrower than the Compton length.
     """
-    if edge == "lower":
-        den = 2.0 * upsilon - 4.0
-        if den <= 0.0:
-            raise ZoneError("the lower zone edge needs upsilon > 2")
-    elif edge == "upper":
-        den = 2.0 * upsilon + 4.0
-    else:
-        raise ValueError("edge must be 'lower' or 'upper'")
-    return (1.0 + wL * wL / den) ** -0.5
+    n_sq, _ = _zone_edge(upsilon, edge)
+    return (1.0 + wL * wL / (4.0 * n_sq)) ** -0.5   # 2 upsilon -+ 4 = 4 n^2 exactly
 
 
 def _rel_dwell_ratio(n_sq, upsilon: float, wL: float, continuity: bool):
@@ -584,18 +538,9 @@ def rel_dwell_zone_edge(upsilon: float, edge: str, wL: float) -> tuple[float, fl
     docs/DECISIONS.md (D1) records the quoted curve (1/2)/(2n^2 +- 1) that
     this replaced and what is left open.
     """
-    if edge == "lower":
-        n_sq = 0.5 * upsilon - 1.0
-        if n_sq <= 0.0:
-            raise ZoneError("the lower zone edge needs upsilon > 2")
-        S = 2.0 * n_sq + 1.0
-    elif edge == "upper":
-        n_sq = 0.5 * upsilon + 1.0
-        S = 2.0 * n_sq - 1.0
-    else:
-        raise ValueError("edge must be 'lower' or 'upper'")
+    n_sq, sign = _zone_edge(upsilon, edge)
     g = 4.0 / (4.0 + n_sq * wL * wL)
-    return n_sq, (g + (4.0 / 3.0) * (1.0 - g)) / S
+    return n_sq, (g + (4.0 / 3.0) * (1.0 - g)) / (2.0 * n_sq - sign)
 
 
 def rel_rescaled_dwell(n_sq, upsilon: float, wL: float):
@@ -662,18 +607,6 @@ def rel_variational_residual(n_sq, upsilon: float, wL: float, n_quad: int = 160)
     return _restore(t_phase_norm - (t_resc_norm + t_self_norm), scalar)
 
 
-def rel_time_observables(n_sq: float, upsilon: float, wL: float) -> TimeObservables:
-    """Normalized (tau = 1) record of the relativistic time family."""
-    dwell = float(rel_dwell(n_sq, upsilon, wL))
-    return TimeObservables(
-        tau_k=1.0,
-        t_phase=float(rel_phase_time(n_sq, upsilon, wL)),
-        t_dwell=dwell,
-        t_self=float(rel_self_interference(n_sq, upsilon, wL)),
-        t_dwell_rescaled=float(rel_rescaled_dwell(n_sq, upsilon, wL)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # saturation (Hartman) sweeps
 # ---------------------------------------------------------------------------
@@ -688,35 +621,3 @@ def _saturation_start(parameter: np.ndarray, within: np.ndarray) -> float | None
     start = outside[-1] + 1 if outside.size else 0
     return float(parameter[start]) if start < parameter.size else None
 
-
-def hartman_curve_nr(n: float, alphas, tol: float = 1e-6) -> HartmanCurve:
-    """One-way phase time against its opaque-limit value, sweeping alpha at fixed k.
-
-    t(alpha)/t_opaque = (alpha/2) (t/tau) tends to 1; saturation_parameter is
-    the first sweep value past which |ratio - 1| stays below tol.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    rate = np.atleast_1d(np.asarray(nr_one_way_rate(n, alphas)))
-    ratio = 0.5 * alphas * rate
-    return HartmanCurve(parameter=alphas, t_over_tau=rate, ratio_to_limit=ratio,
-                        limit_description="opaque-limit time 2m/(k rho)",
-                        saturation_parameter=_saturation_start(alphas, np.abs(ratio - 1.0) < tol))
-
-
-def hartman_curve_symmetric(n: float, alphas, parity: Parity,
-                            tol: float = 1e-6) -> HartmanCurve:
-    """Symmetric-collision rate sweep; the normalized time decays to zero."""
-    alphas = np.asarray(alphas, dtype=float)
-    rate = np.atleast_1d(np.asarray(symmetric_phase_time(n, alphas, parity)))
-    return HartmanCurve(parameter=alphas, t_over_tau=rate, ratio_to_limit=None,
-                        limit_description="zero normalized time",
-                        saturation_parameter=_saturation_start(alphas, np.abs(rate) < tol))
-
-
-def hartman_curve_relativistic(upsilon: float, wL: float, n_sq_grid) -> HartmanCurve:
-    """Relativistic phase-time curve across the tunneling zone (finite everywhere)."""
-    n_sq_grid = np.asarray(n_sq_grid, dtype=float)
-    rate = np.atleast_1d(np.asarray(rel_phase_time(n_sq_grid, upsilon, wL)))
-    return HartmanCurve(parameter=n_sq_grid, t_over_tau=rate, ratio_to_limit=None,
-                        limit_description="finite across the tunneling zone",
-                        saturation_parameter=None)

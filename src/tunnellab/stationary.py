@@ -127,6 +127,14 @@ def unwrap_phase(samples, period: float = math.pi):
     return np.unwrap(samples, period=period)
 
 
+def _coeffs(k: np.ndarray, R, T, alpha, beta, F, theta) -> ScatterCoeffs:
+    """ScatterCoeffs of arrays, or of Python scalars for a 0-d k."""
+    if k.ndim:
+        return ScatterCoeffs(R, T, alpha, beta, F, theta)
+    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta),
+                         float(F), float(theta))
+
+
 # ---------------------------------------------------------------------------
 # one-sided incidence, k above the barrier
 # ---------------------------------------------------------------------------
@@ -151,10 +159,7 @@ def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     T = (2.0 * k * q / F) * phase * np.exp(-1j * k * L)
     alpha = (k * (k + q) / F) * phase * np.exp(-1j * q * L)
     beta = -(k * (k - q) / F) * phase * np.exp(1j * q * L)
-    if k.ndim:
-        return ScatterCoeffs(R, T, alpha, beta, F, theta)
-    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta),
-                         float(F), float(theta))
+    return _coeffs(k, R, T, alpha, beta, F, theta)
 
 
 def above_barrier_phase(k_grid, cfg: PhysicalConfig) -> np.ndarray:
@@ -194,14 +199,37 @@ def _check_tunnel_zone(k, w: float, what: str) -> None:
         raise ZoneError(f"{what} 0 < k < w = {w:g}")
 
 
+def _evanescent_parts(k, rho, L: float, diff):
+    """sinh(rho L), F and theta of an evanescent interior; diff is k^2 - rho^2."""
+    sh, ch = np.sinh(rho * L), np.cosh(rho * L)
+    F = np.hypot(2.0 * k * rho * ch, diff * sh)
+    theta = np.arctan2(diff * sh, 2.0 * k * rho * ch)
+    return sh, F, theta
+
+
+def _evanescent_coeffs(k: np.ndarray, rho, L: float, diff, K2) -> ScatterCoeffs:
+    """R, T and the intra-barrier pair of an evanescent interior on [0, L].
+
+    diff = k^2 - rho^2 and K2 = k^2 + rho^2 come from the caller in its own
+    form (2k^2 - w^2 and w^2 for the non-relativistic barrier), so each
+    caller keeps its own rounding.
+    """
+    sh, F, theta = _evanescent_parts(k, rho, L, diff)
+    phase = np.exp(1j * theta)
+    T_exit = (2.0 * k * rho / F) * phase       # transmitted amp at the exit face
+    R = -1j * (K2 / F) * sh * phase
+    T = T_exit * np.exp(-1j * k * L)
+    alpha = 0.5 * T_exit * (1.0 - 1j * k / rho) * np.exp(rho * L)
+    beta = 0.5 * T_exit * (1.0 + 1j * k / rho) * np.exp(-rho * L)
+    return _coeffs(k, R, T, alpha, beta, F, theta)
+
+
 def _tunnel_parts(k, w: float, L: float, what: str):
-    """rho, sinh, cosh, F and theta of the tunneling solution, after the 0 < k < w check."""
+    """rho, F and theta of the tunneling solution, after the 0 < k < w check."""
     _check_tunnel_zone(k, w, what)
     rho = np.sqrt(w * w - k * k)
-    sh, ch = np.sinh(rho * L), np.cosh(rho * L)
-    F = np.hypot(2.0 * k * rho * ch, (2.0 * k * k - w * w) * sh)
-    theta = np.arctan2((2.0 * k * k - w * w) * sh, 2.0 * k * rho * ch)
-    return rho, sh, ch, F, theta
+    _, F, theta = _evanescent_parts(k, rho, L, 2.0 * k * k - w * w)
+    return rho, F, theta
 
 
 def tunnel_amplitude_nr(k, cfg: PhysicalConfig) -> ScatterCoeffs:
@@ -212,25 +240,16 @@ def tunnel_amplitude_nr(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     beta_coef multiply e^{-rho x} and e^{+rho x}.
     """
     k = np.asarray(k, dtype=float)
-    w, L = cfg.w, cfg.L
-    rho, sh, ch, F, theta = _tunnel_parts(k, w, L, "tunneling amplitudes need")
-    phase = np.exp(1j * theta)
-    T_exit = (2.0 * k * rho / F) * phase       # transmitted amp at the exit face
-    R = -1j * (w * w / F) * sh * phase
-    T = T_exit * np.exp(-1j * k * L)
-    alpha = 0.5 * T_exit * (1.0 - 1j * k / rho) * np.exp(rho * L)
-    beta = 0.5 * T_exit * (1.0 + 1j * k / rho) * np.exp(-rho * L)
-    if k.ndim:
-        return ScatterCoeffs(R, T, alpha, beta, F, theta)
-    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta),
-                         float(F), float(theta))
+    w = cfg.w
+    _check_tunnel_zone(k, w, "tunneling amplitudes need")
+    return _evanescent_coeffs(k, np.sqrt(w * w - k * k), cfg.L, 2.0 * k * k - w * w, w * w)
 
 
 def tunnel_phase(k_grid, cfg: PhysicalConfig) -> np.ndarray:
     """Tunneling transmission phase on a grid, unwrapped (monotone in k)."""
     k_grid = np.asarray(k_grid, dtype=float)
     w, L = cfg.w, cfg.L
-    theta = _tunnel_parts(k_grid, w, L, "tunneling phase needs")[4]
+    theta = _tunnel_parts(k_grid, w, L, "tunneling phase needs")[2]
     return unwrap_phase(theta, period=2.0 * math.pi)
 
 
@@ -317,10 +336,7 @@ def multipeak_sums(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     T = T1 * geo
     F = 2.0 * k * q / np.abs(T)
     theta = np.angle(T * np.exp(1j * k * L))
-    if k.ndim:
-        return ScatterCoeffs(R, T, alpha, beta, F, theta)
-    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta),
-                         float(F), float(theta))
+    return _coeffs(k, R, T, alpha, beta, F, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +405,7 @@ def symmetric_intra_barrier_coeffs(k, cfg: PhysicalConfig):
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    rho, sh, ch, F, theta = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
+    rho, F, theta = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
     T_exit = (2.0 * k * rho / F) * np.exp(1j * theta)
     half = 0.5 * L
     # frame shift from [0, L]: renormalizing the incident wave contributes e^{-ikL/2}
@@ -450,19 +466,7 @@ def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     if cfg.dispersion is not Dispersion.RELATIVISTIC_KG:
         raise ZoneError("kg_scatter_coeffs needs a relativistic configuration")
     k = np.asarray(k, dtype=float)
-    L = cfg.L
     rho = np.asarray(evanescent_rate(k, cfg), dtype=float)
     if np.any(rho == 0.0):
         raise ZoneError("exact coefficients are singular at the zone edge rho = 0")
-    sh, ch = np.sinh(rho * L), np.cosh(rho * L)
-    F = np.hypot(2.0 * k * rho * ch, (k * k - rho * rho) * sh)
-    theta = np.arctan2((k * k - rho * rho) * sh, 2.0 * k * rho * ch)
-    T_exit = (2.0 * k * rho / F) * np.exp(1j * theta)
-    R = -1j * ((k * k + rho * rho) / F) * sh * np.exp(1j * theta)
-    T = T_exit * np.exp(-1j * k * L)
-    alpha = 0.5 * T_exit * (1.0 - 1j * k / rho) * np.exp(rho * L)
-    beta = 0.5 * T_exit * (1.0 + 1j * k / rho) * np.exp(-rho * L)
-    if k.ndim:
-        return ScatterCoeffs(R, T, alpha, beta, F, theta)
-    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta),
-                         float(F), float(theta))
+    return _evanescent_coeffs(k, rho, cfg.L, k * k - rho * rho, k * k + rho * rho)

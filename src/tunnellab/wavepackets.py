@@ -332,7 +332,7 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
     lo, hi = momentum_window(cfg, lower=1e-12 * cfg.w, upper=cfg.w * (1.0 - 1e-12))
 
     def amplitude(k, times):
-        rho, _, _, F, theta = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
+        rho, F, theta = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
         return (2.0 * k * rho / F) * np.exp(1j * theta) * _packet(k, times, cfg)
 
     return _fields(grid, times, single, "transmitted-tunnel",

@@ -6,18 +6,28 @@ derivatives come from central finite differences, spectral sums are
 accumulated one momentum at a time instead of by FFT, and the filtered
 spectrum's maximum is a 40-digit root of its logarithmic derivative.
 Emitted tables are checked against a cell-by-cell writer that hands the
-whole JSON mirror to the standard library's encoder.
+whole JSON mirror to the standard library's encoder, and the grid runners of
+``hartman`` and ``symmetric-times`` against per-n and per-quantity loops.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
 from tunnellab.lab import ScenarioError, _format_value
+from tunnellab.observables import (
+    nr_one_way_rate,
+    rel_phase_time,
+    symmetric_dwell,
+    symmetric_phase_time,
+    symmetric_self_interference,
+)
+from tunnellab.stationary import Parity
 
 
 def transfer_matrix_amplitudes(k: float, kappa_inside: complex, L: float):
@@ -26,22 +36,27 @@ def transfer_matrix_amplitudes(k: float, kappa_inside: complex, L: float):
     The wave is A e^{i kappa x} + B e^{-i kappa x} in each region with
     kappa = k outside and `kappa_inside` inside the barrier [0, L]
     (kappa_inside = i rho describes an evanescent interior).  Returns
-    (R, T, A2, B2) for the transmitted convention T e^{ikx}.
+    (R, T, A2, B2) for the transmitted convention T e^{ikx}.  The matching
+    runs at 60 digits: T, of size e^{-rho L}, is a difference of terms of size
+    e^{rho L}, so about 2 rho L / ln 10 digits cancel, and double precision
+    keeps no digit of T past rho L of about 18; 60 digits keep 16 to rho L = 50.
     """
+    with mpmath.workdps(60):
+        k, kappa, L = mpmath.mpf(float(k)), mpmath.mpc(complex(kappa_inside)), mpmath.mpf(L)
 
-    def interface(ka, kb, x):
-        ma = np.array([[np.exp(1j * ka * x), np.exp(-1j * ka * x)],
-                       [1j * ka * np.exp(1j * ka * x), -1j * ka * np.exp(-1j * ka * x)]])
-        mb = np.array([[np.exp(1j * kb * x), np.exp(-1j * kb * x)],
-                       [1j * kb * np.exp(1j * kb * x), -1j * kb * np.exp(-1j * kb * x)]])
-        return np.linalg.solve(mb, ma)
+        def waves(kk, x):
+            e = mpmath.exp(1j * kk * x)
+            return mpmath.matrix([[e, 1 / e], [1j * kk * e, -1j * kk / e]])
 
-    m = interface(kappa_inside, k, L) @ interface(k, kappa_inside, 0.0)
-    # region III has no left-mover: M @ [1, R] = [T, 0]
-    R = -m[1, 0] / m[1, 1]
-    T = m[0, 0] + m[0, 1] * R
-    inner = interface(k, kappa_inside, 0.0) @ np.array([1.0 + 0j, R])
-    return complex(R), complex(T), complex(inner[0]), complex(inner[1])
+        def interface(ka, kb, x):
+            return waves(kb, x) ** -1 * waves(ka, x)
+
+        m = interface(kappa, k, L) * interface(k, kappa, 0)
+        # region III has no left-mover: M @ [1, R] = [T, 0]
+        R = -m[1, 0] / m[1, 1]
+        T = m[0, 0] + m[0, 1] * R
+        inner = interface(k, kappa, 0) * mpmath.matrix([1, R])
+        return complex(R), complex(T), complex(inner[0]), complex(inner[1])
 
 
 def central_difference(fn, x: float, h: float) -> float:
@@ -135,3 +150,46 @@ def reference_emit(tables, prefix: str, *, json_mirror: bool = False,
                              encoding="utf-8")
             out_paths.append(jpath)
     return out_paths
+
+
+def reference_hartman_rows(config: dict) -> list[tuple]:
+    """Rows of ``hartman`` from one curve per (family, n), one n at a time.
+
+    A saturation start is the first sweep value from which every later value
+    is in band, found by a plain scan; the symmetric band is 5e-2.
+    """
+    alphas = np.linspace(0.5, config["alpha_max"], config["alpha_steps"])
+
+    def start(band):
+        for i in range(band.size):
+            if np.all(band[i:]):
+                return float(alphas[i])
+        return math.nan
+
+    rows = []
+    for n in config["n_values"]:
+        ratio = 0.5 * alphas * nr_one_way_rate(n, alphas)
+        rows.append(("one-way", n, start(np.abs(ratio - 1.0) < config["saturation_tol"]),
+                     float(ratio[-1])))
+        for parity, label in ((Parity.SYMMETRIC, "boson"), (Parity.ANTISYMMETRIC, "fermion")):
+            rate = symmetric_phase_time(n, alphas, parity)
+            rows.append((f"symmetric-{label}", n, start(np.abs(rate) < 5e-2), float(rate[-1])))
+    upsilon = config["upsilon"]
+    n_sq = np.linspace(max(0.5 * upsilon - 1.0, 0.0) + 1e-3, 0.5 * upsilon + 1.0 - 1e-3, 101)
+    rate = rel_phase_time(n_sq, upsilon, config["wL"])
+    rows.append(("relativistic", upsilon, math.nan, float(np.max(np.abs(rate)))))
+    return rows
+
+
+def reference_symmetric_times_rows(config: dict) -> list[tuple]:
+    """Rows of ``symmetric-times`` from one call per quantity and parity."""
+    ns = np.linspace(config["n_min"], config["n_max"], config["n_steps"])
+    alpha = config["wL"] * np.sqrt(1.0 - ns)
+    columns = [ns, alpha]
+    for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
+        tp = symmetric_phase_time(ns, alpha, parity)
+        td = symmetric_dwell(ns, alpha, parity)
+        ts = symmetric_self_interference(ns, alpha, parity)
+        columns += [tp, td, ts, tp - td - ts]
+    columns.append(nr_one_way_rate(ns, alpha))
+    return list(zip(*(np.asarray(col, dtype=float).tolist() for col in columns)))

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import tunnellab
 from tunnellab.core import (
     Dispersion,
     GaussianSpectrum,
@@ -19,7 +22,6 @@ from tunnellab.core import (
     nr_zone,
     propagating_momentum,
     rho_n_squared,
-    spectrum_eval,
     to_dimensionless,
 )
 
@@ -176,17 +178,17 @@ class TestDimensionless:
 class TestSpectrum:
     def test_peak_value_and_symmetry(self):
         s = GaussianSpectrum(a=2.0, k0=1.5)
-        assert spectrum_eval(s, 1.5) == pytest.approx((4.0 / (2.0 * math.pi)) ** 0.25, rel=1e-14)
+        assert s.amplitude(1.5) == pytest.approx((4.0 / (2.0 * math.pi)) ** 0.25, rel=1e-14)
         for d in (0.1, 0.7, 2.3):
-            assert spectrum_eval(s, 1.5 + d) == pytest.approx(spectrum_eval(s, 1.5 - d), rel=1e-14)
-            assert spectrum_eval(s, 1.5 + d) > 0.0
+            assert s.amplitude(1.5 + d) == pytest.approx(s.amplitude(1.5 - d), rel=1e-14)
+            assert s.amplitude(1.5 + d) > 0.0
 
     def test_unit_norm_by_quadrature(self):
         # log-spaced width sweep; window k0 +- 10/a
         for a in np.logspace(-2, 2, 9):
             s = GaussianSpectrum(a=float(a), k0=3.0)
             ks = np.linspace(3.0 - 10.0 / a, 3.0 + 10.0 / a, 4001)
-            norm = np.trapezoid(spectrum_eval(s, ks) ** 2, ks)
+            norm = np.trapezoid(s.amplitude(ks) ** 2, ks)
             assert norm == pytest.approx(1.0, abs=1e-10)
 
 
@@ -205,3 +207,18 @@ class TestTraversalAndWindow:
         assert lo == 0.0
         with pytest.raises(ZoneError):
             momentum_window(cfg, lower=hi + 1.0)
+
+
+_MODULES = ["tunnellab"] + [f"tunnellab.{info.name}"
+                            for info in pkgutil.iter_modules(tunnellab.__path__)]
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_export_resolves(name):
+    # a deletion that leaves its name in __all__ breaks `import *`
+    module = importlib.import_module(name)
+    missing = [export for export in getattr(module, "__all__", []) if not hasattr(module, export)]
+    assert missing == []
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+    assert set(getattr(module, "__all__", [])) <= set(namespace)

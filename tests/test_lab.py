@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_emit
+from oracles import reference_emit, reference_hartman_rows, reference_symmetric_times_rows
 from tunnellab import lab
 from tunnellab.cli import main
 from tunnellab.lab import (
@@ -412,6 +412,25 @@ class TestRunScenarios:
         assert len(table.rows) == 5
         for row in table.rows:
             assert row[3] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestBatchedRunners:
+    """The grid runners emit the rows of the per-n and per-quantity loops."""
+
+    @pytest.mark.parametrize("name, overrides, reference", [
+        ("hartman", {}, reference_hartman_rows),
+        ("hartman", {"upsilon": 6.0, "wL": 1.8 * math.pi}, reference_hartman_rows),
+        ("symmetric-times", {}, reference_symmetric_times_rows),
+        ("symmetric-times", {"wL": 3.6 * math.pi}, reference_symmetric_times_rows),
+    ], ids=["hartman", "hartman-held-out", "symmetric-times", "symmetric-times-held-out"])
+    def test_rows_equal_the_loops(self, name, overrides, reference):
+        spec = parse_config(json.dumps({"config": overrides}), scenario=name)
+        (table,) = run_scenario(spec)
+        expected = reference(spec.config)
+        assert len(table.rows) == len(expected)
+        # repr: exact, and nan equals nan
+        assert [tuple(map(repr, row)) for row in table.rows] == \
+            [tuple(map(repr, row)) for row in expected]
 
 
 class TestEmission:

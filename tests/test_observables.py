@@ -22,9 +22,6 @@ from tunnellab.observables import (
     distortion_flag,
     distortion_threshold_length,
     fermion_acceleration_predicate,
-    hartman_curve_nr,
-    hartman_curve_relativistic,
-    hartman_curve_symmetric,
     kmax_find,
     naive_above_barrier_times,
     nr_one_way_rate,
@@ -41,14 +38,12 @@ from tunnellab.observables import (
     rel_phase_time_zone_edge,
     rel_rescaled_dwell,
     rel_self_interference,
-    rel_time_observables,
     rel_transmission_zone_edge,
     rel_variational_residual,
     symmetric_dwell,
     symmetric_dwell_quadrature,
     symmetric_phase_time,
     symmetric_self_interference,
-    symmetric_time_observables,
 )
 
 
@@ -362,11 +357,6 @@ class TestSymmetricTriple:
             assert abs(symmetric_phase_time(0.5, 4000.0, parity)) < 1e-3
             assert abs(symmetric_dwell(0.5, 4000.0, parity)) < 1e-3
 
-    def test_profile_record(self):
-        rec = symmetric_time_observables(0.4, 2.0, Parity.SYMMETRIC, tau_k=3.0)
-        assert rec.t_phase == pytest.approx(rec.t_dwell + rec.t_self, abs=1e-12)
-        assert rec.parity is Parity.SYMMETRIC
-
     def test_fermion_acceleration(self):
         assert fermion_acceleration_predicate(0.5, 4.0)
         assert fermion_acceleration_predicate(0.9, 1.0)
@@ -534,6 +524,9 @@ class TestRelativisticDwell:
         assert rel_rescaled_dwell(flip - 1e-6, upsilon, wL) < 0.0
         assert rel_rescaled_dwell(flip + 1e-6, upsilon, wL) > 0.0
         assert abs(rel_rescaled_dwell(flip, upsilon, wL)) < 1e-12
+        assert rel_rescaled_dwell(2.0, upsilon, wL) == pytest.approx(
+            (math.sqrt(1.0 + 2.0 * 2.0 * upsilon) - upsilon) * rel_dwell(2.0, upsilon, wL),
+            rel=1e-12)
 
     def test_variational_identity(self):
         for upsilon in (1.0, 5.0):
@@ -541,15 +534,6 @@ class TestRelativisticDwell:
                                     0.5 * upsilon + 0.9, 7):
                 res = rel_variational_residual(float(n_sq), upsilon, 2.0 * math.pi)
                 assert abs(res) < 1e-10
-
-    def test_observable_record(self):
-        upsilon, wL = 5.0, 2.0 * math.pi
-        rec = rel_time_observables(2.0, upsilon, wL)
-        assert rec.t_dwell > 0.0
-        assert rec.t_dwell_rescaled == pytest.approx(
-            (math.sqrt(1.0 + 2.0 * 2.0 * upsilon) - upsilon) * rec.t_dwell, rel=1e-12)
-        assert rec.t_phase == pytest.approx(float(rel_phase_time(2.0, upsilon, wL)), rel=1e-14)
-        assert rec.t_self == pytest.approx(rel_self_interference(2.0, upsilon, wL), rel=1e-14)
 
 
 # (wL, upsilon values) of the two relativistic-times input variants of the benchmark
@@ -634,22 +618,22 @@ class TestHartman:
     def test_nr_saturates_by_thirty(self):
         alphas = np.linspace(1.0, 40.0, 79)
         for n in (0.1, 0.5, 0.9):
-            curve = hartman_curve_nr(n, alphas, tol=1e-6)
-            assert curve.saturation_parameter is not None
-            assert curve.saturation_parameter <= 30.0
-            assert abs(curve.ratio_to_limit[-1] - 1.0) < 1e-12
+            ratio = 0.5 * alphas * nr_one_way_rate(n, alphas)
+            start = observables._saturation_start(alphas, np.abs(ratio - 1.0) < 1e-6)
+            assert start is not None
+            assert start <= 30.0
+            assert abs(ratio[-1] - 1.0) < 1e-12
 
     def test_symmetric_rates_vanish(self):
         alphas = np.linspace(1.0, 500.0, 120)
         for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
-            curve = hartman_curve_symmetric(0.5, alphas, parity, tol=1e-2)
-            assert curve.saturation_parameter is not None
-            assert abs(curve.t_over_tau[-1]) < 1e-2
+            rate = symmetric_phase_time(0.5, alphas, parity)
+            assert observables._saturation_start(alphas, np.abs(rate) < 1e-2) is not None
+            assert abs(rate[-1]) < 1e-2
 
     def test_relativistic_curve_finite(self):
         grid = np.linspace(1.5 + 1e-4, 3.5 - 1e-4, 301)
-        curve = hartman_curve_relativistic(5.0, 2.0 * math.pi, grid)
-        assert np.all(np.isfinite(curve.t_over_tau))
+        assert np.all(np.isfinite(rel_phase_time(grid, 5.0, 2.0 * math.pi)))
 
     @pytest.mark.parametrize("within, expected", [
         ([True, True, True, True], 1.0),       # all in band: the first value
@@ -669,10 +653,6 @@ class TestHartman:
         tails = [i for i in range(len(within)) if all(within[i:])]
         expected = float(parameter[tails[0]]) if tails else None
         assert observables._saturation_start(parameter, np.array(within, dtype=bool)) == expected
-
-    def test_empty_sweeps_do_not_saturate(self):
-        assert hartman_curve_nr(0.5, np.array([])).saturation_parameter is None
-        assert hartman_curve_symmetric(0.5, np.array([]), Parity.SYMMETRIC).saturation_parameter is None
 
 
 class TestNrTransmissionMag:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,20 @@ def above_cfg(w=1.0, L=3.0, k0=None, a=1.0):
 
 def tunnel_cfg(w=1.0, L=2.0, k0=0.6, a=1.0):
     return PhysicalConfig.tunneling(m=1.0, V0=w * w / 2.0, L=L, a=a, k0=k0)
+
+
+def assert_scalar_calls_match(coeffs, sc, ks, indices):
+    """Each scalar call returns Python scalars equal to its element of the array call.
+
+    Equal to 1e-15, not exactly: numpy's vectorized complex arithmetic can
+    round differently from its 0-d path (up to 2 ulps in T, alpha and beta).
+    """
+    for i in indices:
+        one = coeffs(float(ks[i]))
+        for field in dataclasses.fields(one):
+            value = getattr(one, field.name)
+            assert type(value) in (complex, float)
+            assert value == pytest.approx(getattr(sc, field.name)[i], rel=1e-15)
 
 
 def resonant_k(w, L, n):
@@ -147,6 +162,7 @@ class TestTunnelAmplitude:
             assert one.T == pytest.approx(T_o, abs=1e-12)
             assert one.alpha_coef == pytest.approx(A_o, abs=1e-11)
             assert one.beta_coef == pytest.approx(B_o, abs=1e-11)
+        assert_scalar_calls_match(lambda k: tunnel_amplitude_nr(k, cfg), sc, ks, (0, 1500, 2999))
 
     def test_transmission_strictly_increasing(self):
         cfg = tunnel_cfg(L=2.0)
@@ -384,6 +400,26 @@ class TestRelativisticTransmission:
         # the phase (not the modulus) agrees with the barrier-scale form
         _, phi = relativistic_transmission(2.0, 5.0, cfg.w * cfg.L)
         assert sc.theta == pytest.approx(phi, abs=1e-12)
+        # arrays across the zone, up to rho L = 40: unitarity at every n^2, the
+        # transfer matrix at both ends and the middle, scalar calls as elements
+        for upsilon in (0.5, 5.0, 50.0):
+            w = math.sqrt(2.0 * upsilon)
+            n_sq = np.linspace(max(0.5 * upsilon - 1.0, 0.0), 0.5 * upsilon + 1.0, 203)[1:-1]
+            ks = np.sqrt(n_sq) * w
+            for wL in (0.1, 2.0 * math.pi, 40.0):
+                cfg = PhysicalConfig.kg_tunneling(m=1.0, V0=upsilon, L=wL / w, a=1.0,
+                                                  k0=float(ks[0]))
+                sc = kg_scatter_coeffs(ks, cfg)
+                assert np.max(np.abs(np.abs(sc.R) ** 2 + np.abs(sc.T) ** 2 - 1.0)) < 1e-12
+                rho = evanescent_rate(ks, cfg)
+                points = (0, ks.size // 2, ks.size - 1)
+                for i in points:
+                    R_o, T_o, A_o, B_o = transfer_matrix_amplitudes(ks[i], 1j * rho[i], cfg.L)
+                    assert sc.R[i] == pytest.approx(R_o, abs=1e-12)
+                    assert sc.T[i] == pytest.approx(T_o, rel=1e-12)
+                    assert sc.alpha_coef[i] == pytest.approx(A_o, rel=1e-12)
+                    assert sc.beta_coef[i] == pytest.approx(B_o, rel=1e-12)
+                assert_scalar_calls_match(lambda k: kg_scatter_coeffs(k, cfg), sc, ks, points)
 
 
 class TestUnwrapPhase:
