@@ -28,7 +28,6 @@ __all__ = [
     "group_velocity",
     "nr_zone",
     "kg_zone",
-    "kg_zone_from_params",
     "channel_momenta",
     "propagating_momentum",
     "evanescent_rate",
@@ -159,16 +158,6 @@ def kg_zone(k: float, cfg: PhysicalConfig) -> str:
     return "tunneling"
 
 
-def kg_zone_from_params(n_sq: float, upsilon: float) -> str:
-    """Zone from the dimensionless pair (n^2 = k^2/w^2, upsilon = V0/m)."""
-    d = n_sq - 0.5 * upsilon
-    if abs(d) < 1.0:
-        return "tunneling"
-    if d <= -1.0:
-        return "klein" if d < -1.0 else "boundary"
-    return "above" if d > 1.0 else "boundary"
-
-
 @dataclass(frozen=True)
 class ChannelMomentum:
     """Intra-barrier channel: a real momentum q or an evanescent rate rho."""
@@ -247,6 +236,21 @@ def rho_n_squared(n_sq, upsilon):
     s = np.sqrt(1.0 + 2.0 * n_sq * upsilon)
     out = (1.0 - d * d) / (s + n_sq + 0.5 * upsilon)
     return out if out.ndim else float(out)
+
+
+def _in_rel_zone(n_sq, upsilon: float):
+    """Mask of the relativistic tunneling zone: n^2 > 0 and (n^2 - upsilon/2)^2 < 1."""
+    return (n_sq > 0.0) & (np.abs(n_sq - 0.5 * upsilon) < 1.0)
+
+
+def _check_rel_zone(n_sq, upsilon: float) -> None:
+    """ZoneError naming the first n^2 outside the relativistic tunneling zone."""
+    inside = _in_rel_zone(n_sq, upsilon)
+    if not np.all(inside):
+        bad = float(np.extract(~inside, n_sq)[0])
+        raise ZoneError(f"n^2 = {bad:g} is outside the relativistic tunneling zone "
+                        "(n^2 - upsilon/2)^2 < 1, n^2 > 0 (below lies the Klein zone, "
+                        "above the above-barrier zone)")
 
 
 @dataclass(frozen=True)

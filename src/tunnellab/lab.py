@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import PhysicalConfig, ZoneError
+from .core import PhysicalConfig, ZoneError, _in_rel_zone
 from .stationary import Parity, relativistic_transmission
 from .observables import (
     _saturation_start,
@@ -479,7 +479,7 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTab
     for upsilon in config["upsilon_values"]:
         ns = sweep.values() if sweep else np.linspace(
             *_zone_bounds(upsilon, config["edge_margin"]), config["n_sq_steps"])
-        ns = ns[(ns > 0.0) & (np.abs(ns - 0.5 * upsilon) < 1.0)]
+        ns = ns[_in_rel_zone(ns, upsilon)]
         if ns.size == 0:
             continue
         T_mag, phi = relativistic_transmission(ns, upsilon, wL)

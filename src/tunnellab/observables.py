@@ -25,6 +25,7 @@ from .core import (
     Dispersion,
     PhysicalConfig,
     ZoneError,
+    _check_rel_zone,
     evanescent_rate,
     rho_n_squared,
 )
@@ -391,13 +392,6 @@ def fermion_acceleration_predicate(n, alpha) -> bool:
 # ---------------------------------------------------------------------------
 # relativistic suite (arguments: n_sq = k^2/w^2, upsilon = V0/m, wL)
 # ---------------------------------------------------------------------------
-
-def _check_rel_zone(n_sq: np.ndarray, upsilon: float) -> None:
-    if np.any(n_sq <= 0.0) or np.any(np.abs(n_sq - 0.5 * upsilon) >= 1.0):
-        raise ZoneError(
-            "relativistic times need the tunneling zone (n^2 - upsilon/2)^2 < 1, "
-            "n^2 > 0 (Klein zone below, above-barrier zone above)")
-
 
 def _rel_S(n_sq, upsilon: float):
     return np.sqrt(1.0 + 2.0 * n_sq * upsilon)

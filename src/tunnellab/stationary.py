@@ -7,13 +7,12 @@ written as T(k) e^{ikx}; the symmetric two-packet collision uses the barrier
 on [-L/2, L/2].  All phases are evaluated quadrant-aware (atan2) and can be
 unwrapped along a momentum grid with :func:`unwrap_phase`.
 
-The above-barrier coefficients, the tunneling amplitude and the relativistic
-continuity solution all share the normalizer
-
-    F = |2 k chi cos/cosh + i (k^2 +- chi^2) sin/sinh|
-
-with chi the intra-barrier momentum (q, oscillatory) or rate (rho,
-evanescent), which guarantees |R|^2 + |T|^2 = 1 identically.
+The above-barrier coefficients share the normalizer
+F = |2 k q cos qL + i (k^2 + q^2) sin qL|.  Every tunneling-zone amplitude is
+a view of one evanescent solution (`_evanescent_parts`) whose normalizer
+|2 k rho cosh x + i (k^2 - rho^2) sinh x|, x = rho L, is divided through by
+cosh x, so that it is finite at every opacity.  Both give |R|^2 + |T|^2 = 1
+identically.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .core import (
     Dispersion,
     PhysicalConfig,
     ZoneError,
+    _check_rel_zone,
     evanescent_rate,
-    kg_zone_from_params,
     propagating_momentum,
     rho_n_squared,
 )
@@ -75,15 +74,14 @@ class ScatterCoeffs:
 
     For oscillatory intra-barrier motion, alpha_coef and beta_coef multiply
     e^{iqx} and e^{-iqx}; in the evanescent case they multiply e^{-rho x} and
-    e^{+rho x}.  F is the positive normalizer and theta the transmission
-    phase (principal value for scalar input).
+    e^{+rho x}.  theta is the transmission phase, the argument of T e^{ikL}
+    (principal value for scalar input).
     """
 
     R: complex
     T: complex
     alpha_coef: complex
     beta_coef: complex
-    F: float
     theta: float
 
 
@@ -127,12 +125,11 @@ def unwrap_phase(samples, period: float = math.pi):
     return np.unwrap(samples, period=period)
 
 
-def _coeffs(k: np.ndarray, R, T, alpha, beta, F, theta) -> ScatterCoeffs:
+def _coeffs(k: np.ndarray, R, T, alpha, beta, theta) -> ScatterCoeffs:
     """ScatterCoeffs of arrays, or of Python scalars for a 0-d k."""
     if k.ndim:
-        return ScatterCoeffs(R, T, alpha, beta, F, theta)
-    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta),
-                         float(F), float(theta))
+        return ScatterCoeffs(R, T, alpha, beta, theta)
+    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta), float(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +156,7 @@ def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     T = (2.0 * k * q / F) * phase * np.exp(-1j * k * L)
     alpha = (k * (k + q) / F) * phase * np.exp(-1j * q * L)
     beta = -(k * (k - q) / F) * phase * np.exp(1j * q * L)
-    return _coeffs(k, R, T, alpha, beta, F, theta)
+    return _coeffs(k, R, T, alpha, beta, theta)
 
 
 def above_barrier_phase(k_grid, cfg: PhysicalConfig) -> np.ndarray:
@@ -199,57 +196,66 @@ def _check_tunnel_zone(k, w: float, what: str) -> None:
         raise ZoneError(f"{what} 0 < k < w = {w:g}")
 
 
-def _evanescent_parts(k, rho, L: float, diff):
-    """sinh(rho L), F and theta of an evanescent interior; diff is k^2 - rho^2."""
-    sh, ch = np.sinh(rho * L), np.cosh(rho * L)
-    F = np.hypot(2.0 * k * rho * ch, diff * sh)
-    theta = np.arctan2(diff * sh, 2.0 * k * rho * ch)
-    return sh, F, theta
+def _evanescent_parts(k, rho, x, diff):
+    """tanh x, e^{-x}, c and theta of an evanescent interior at opacity x = rho L.
+
+    diff is k^2 - rho^2.  The normalizer F = |2 k rho cosh x + i diff sinh x|
+    divided through by cosh x is hypot(2 k rho, diff tanh x), so
+    c = 2 k rho cosh x / F and theta = atan2(diff tanh x, 2 k rho) are finite
+    at every x.
+    """
+    th = np.tanh(x)
+    kr = 2.0 * k * rho
+    y = diff * th
+    return th, np.exp(-x), kr / np.hypot(kr, y), np.arctan2(y, kr)
 
 
-def _evanescent_coeffs(k: np.ndarray, rho, L: float, diff, K2) -> ScatterCoeffs:
+def _evanescent_coeffs(k: np.ndarray, rho, L: float, K2, parts) -> ScatterCoeffs:
     """R, T and the intra-barrier pair of an evanescent interior on [0, L].
 
-    diff = k^2 - rho^2 and K2 = k^2 + rho^2 come from the caller in its own
-    form (2k^2 - w^2 and w^2 for the non-relativistic barrier), so each
-    caller keeps its own rounding.
+    ``parts`` is :func:`_evanescent_parts` at x = rho L.  With
+    a = c e^{i theta} / (1 + e^{-2x}):
+        R = -i (K2 / 2 k rho) tanh x c e^{i theta},   T e^{ikL} = 2 e^{-x} a,
+        alpha = (1 - i k/rho) a,   beta = (1 + i k/rho) e^{-2x} a,
+    so T and beta underflow to 0 for opaque barriers instead of overflowing.
+    K2 = k^2 + rho^2, and the diff = k^2 - rho^2 of ``parts``, come from the
+    caller in its own form (w^2 and 2k^2 - w^2 for the non-relativistic
+    barrier).
     """
-    sh, F, theta = _evanescent_parts(k, rho, L, diff)
-    phase = np.exp(1j * theta)
-    T_exit = (2.0 * k * rho / F) * phase       # transmitted amp at the exit face
-    R = -1j * (K2 / F) * sh * phase
-    T = T_exit * np.exp(-1j * k * L)
-    alpha = 0.5 * T_exit * (1.0 - 1j * k / rho) * np.exp(rho * L)
-    beta = 0.5 * T_exit * (1.0 + 1j * k / rho) * np.exp(-rho * L)
-    return _coeffs(k, R, T, alpha, beta, F, theta)
+    th, e, c, theta = parts
+    phase = c * np.exp(1j * theta)
+    a = phase / (1.0 + e * e)
+    R = -1j * (K2 / (2.0 * k * rho)) * th * phase
+    T = 2.0 * e * a * np.exp(-1j * k * L)
+    alpha = (1.0 - 1j * k / rho) * a
+    beta = (1.0 + 1j * k / rho) * (e * e) * a
+    return _coeffs(k, R, T, alpha, beta, theta)
 
 
 def _tunnel_parts(k, w: float, L: float, what: str):
-    """rho, F and theta of the tunneling solution, after the 0 < k < w check."""
+    """rho and the evanescent parts of the tunneling solution, after the 0 < k < w check."""
     _check_tunnel_zone(k, w, what)
     rho = np.sqrt(w * w - k * k)
-    _, F, theta = _evanescent_parts(k, rho, L, 2.0 * k * k - w * w)
-    return rho, F, theta
+    return (rho, *_evanescent_parts(k, rho, rho * L, 2.0 * k * k - w * w))
 
 
 def tunnel_amplitude_nr(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """Stationary amplitudes for 0 < k < w on the barrier [0, L].
 
     |T| = 2 k rho / F with F^2 = 4 k^2 rho^2 + w^4 sinh^2(rho L), the
-    evanescent analogue of the above-barrier normalizer; alpha_coef and
-    beta_coef multiply e^{-rho x} and e^{+rho x}.
+    evanescent analogue of the above-barrier normalizer, evaluated divided
+    through by cosh(rho L) so that every amplitude is finite at every opacity;
+    alpha_coef and beta_coef multiply e^{-rho x} and e^{+rho x}.
     """
     k = np.asarray(k, dtype=float)
-    w = cfg.w
-    _check_tunnel_zone(k, w, "tunneling amplitudes need")
-    return _evanescent_coeffs(k, np.sqrt(w * w - k * k), cfg.L, 2.0 * k * k - w * w, w * w)
+    rho, *parts = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
+    return _evanescent_coeffs(k, rho, cfg.L, cfg.w * cfg.w, parts)
 
 
 def tunnel_phase(k_grid, cfg: PhysicalConfig) -> np.ndarray:
     """Tunneling transmission phase on a grid, unwrapped (monotone in k)."""
     k_grid = np.asarray(k_grid, dtype=float)
-    w, L = cfg.w, cfg.L
-    theta = _tunnel_parts(k_grid, w, L, "tunneling phase needs")[2]
+    theta = _tunnel_parts(k_grid, cfg.w, cfg.L, "tunneling phase needs")[-1]
     return unwrap_phase(theta, period=2.0 * math.pi)
 
 
@@ -334,9 +340,8 @@ def multipeak_sums(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     alpha = a1 * geo
     beta = b1 * geo
     T = T1 * geo
-    F = 2.0 * k * q / np.abs(T)
     theta = np.angle(T * np.exp(1j * k * L))
-    return _coeffs(k, R, T, alpha, beta, F, theta)
+    return _coeffs(k, R, T, alpha, beta, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +351,9 @@ def multipeak_sums(k, cfg: PhysicalConfig) -> ScatterCoeffs:
 def symmetric_amplitudes(k, cfg: PhysicalConfig):
     """Reflection and transmission amplitudes seen by either colliding packet.
 
-    Evaluated in the overflow-safe sinh/cosh form
+    (R e^{-ikL}, T) of the one-sided solution on [0, L] (tunnel_amplitude_nr):
+    with the barrier on [-L/2, L/2], R picks up e^{-ikL} and T is unchanged.
+    In closed form
         R = e^{-ikL} w^2 sinh(rho L) / D,   T = e^{-ikL} 2 i k rho / D,
         D = (2k^2 - w^2) sinh(rho L) + 2 i k rho cosh(rho L).
     This equals the exponential form written with the unimodular factor
@@ -357,33 +364,25 @@ def symmetric_amplitudes(k, cfg: PhysicalConfig):
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    _check_tunnel_zone(k, w, "symmetric collision amplitudes need")
-    rho = np.sqrt(w * w - k * k)
-    sh, ch = np.sinh(rho * L), np.cosh(rho * L)
-    D = (2.0 * k * k - w * w) * sh + 2j * k * rho * ch
-    R = np.exp(-1j * k * L) * w * w * sh / D
-    T = np.exp(-1j * k * L) * 2j * k * rho / D
-    if k.ndim:
-        return R, T
-    return complex(R), complex(T)
+    rho, *parts = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
+    sc = _evanescent_coeffs(k, rho, L, w * w, parts)
+    R = sc.R * np.exp(-1j * k * L)
+    return (R if k.ndim else complex(R)), sc.T
 
 
 def symmetric_phase(k, cfg: PhysicalConfig, parity: Parity):
     """Scattering phase of the combined unimodular amplitude R +- T.
 
     phi_pm = -atan2(2 k rho tanh(rho L), (k^2 - rho^2) +- w^2 / cosh(rho L)),
-    continuous across (0, w) and vanishing at the barrier-top end.
+    continuous across (0, w) and vanishing at the barrier-top end.  Numerator
+    and denominator are divided by cosh(rho L), with 1 / cosh x formed as
+    2 e^{-x} / (1 + e^{-2x}).
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    _check_tunnel_zone(k, w, "symmetric collision amplitudes need")
-    sgn = parity.sign
-    rho = np.sqrt(w * w - k * k)
-    th = np.tanh(rho * L)
-    # numerator/denominator divided by cosh(rho L) for overflow safety
-    num = 2.0 * k * rho * th
-    den = (k * k - rho * rho) + sgn * w * w / np.cosh(rho * L)
-    out = -np.arctan2(num, den)
+    rho, th, e, _, _ = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
+    sech = 2.0 * e / (1.0 + e * e)
+    out = -np.arctan2(2.0 * k * rho * th, (2.0 * k * k - w * w) + parity.sign * w * w * sech)
     return out if out.ndim else float(out)
 
 
@@ -400,18 +399,18 @@ def symmetric_intra_barrier_coeffs(k, cfg: PhysicalConfig):
 
     In the frame with the barrier on [-L/2, L/2] the left-incident stationary
     wave is gamma e^{-rho x} + beta e^{+rho x} inside; the right-incident
-    solution is its mirror image x -> -x.  Obtained from the continuity
-    conditions at the exit face.
+    solution is its mirror image x -> -x.  This is the pair of the [0, L]
+    solution moved by L/2: alpha e^{-x/2} and beta e^{x/2}, x = rho L, with
+    the incident wave renormalized by e^{-ikL/2}.  The exponentials are
+    folded into gamma ~ e^{-x/2} and beta ~ e^{-3x/2}, so that neither
+    factor overflows.
     """
     k = np.asarray(k, dtype=float)
-    w, L = cfg.w, cfg.L
-    rho, F, theta = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
-    T_exit = (2.0 * k * rho / F) * np.exp(1j * theta)
-    half = 0.5 * L
-    # frame shift from [0, L]: renormalizing the incident wave contributes e^{-ikL/2}
-    shift = np.exp(-1j * k * half)
-    gamma = 0.5 * T_exit * (1.0 - 1j * k / rho) * np.exp(rho * half) * shift
-    beta = 0.5 * T_exit * (1.0 + 1j * k / rho) * np.exp(-rho * half) * shift
+    L = cfg.L
+    rho, _, e, c, theta = _tunnel_parts(k, cfg.w, L, "symmetric collision amplitudes need")
+    a = c * np.exp(1j * (theta - 0.5 * k * L) - 0.5 * rho * L) / (1.0 + e * e)
+    gamma = (1.0 - 1j * k / rho) * a
+    beta = (1.0 + 1j * k / rho) * e * a
     if k.ndim:
         return gamma, beta
     return complex(gamma), complex(beta)
@@ -428,26 +427,21 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
     phi(n, L) = atan2((n^2 - rho_n^2) tanh(rho_n wL), 2 n rho_n)
 
     with rho_n from :func:`tunnellab.core.rho_n_squared`.  At upsilon = 0 this
-    is exactly the non-relativistic pair (|T|, theta).  |T| is evaluated in
-    scaled form, 2 e^{-x} / sqrt(s + m q / (4 n^2 rho_n^2)) at x = rho_n wL
+    is exactly the non-relativistic pair (|T|, theta).  phi is the theta of
+    the shared evanescent solution (_evanescent_parts).  |T| keeps the
+    barrier-scale normalizer in scaled form,
+    2 e^{-x} / sqrt(s + m q / (4 n^2 rho_n^2)) at x = rho_n wL
     (tunnellab._hyperbolic), so it is finite at the zone edge and underflows
     to 0 instead of overflowing.  Returns (T_mag, phi).
     """
     n_sq = np.asarray(n_sq, dtype=float)
-    zone_d = np.abs(n_sq - 0.5 * upsilon)
-    if np.any(zone_d >= 1.0) or np.any(n_sq <= 0.0):
-        bad = float(np.asarray(n_sq).flat[int(np.argmax(zone_d))])
-        raise ZoneError(
-            f"n^2 = {bad:g} is outside the relativistic tunneling zone "
-            f"(n^2 - upsilon/2)^2 < 1 (below lies the Klein zone, above the "
-            f"above-barrier zone); zone = {kg_zone_from_params(bad, upsilon)}")
+    _check_rel_zone(n_sq, upsilon)
     rn_sq = rho_n_squared(n_sq, upsilon)
     rn = np.sqrt(rn_sq)
-    n = np.sqrt(n_sq)
     x = rn * wL
+    _, e, _, phi = _evanescent_parts(np.sqrt(n_sq), rn, x, n_sq - rn_sq)
     s, _, q, m = scaled(x)
-    T_mag = 2.0 * np.exp(-x) / np.sqrt(s + m * q / (4.0 * n_sq * rn_sq))
-    phi = np.arctan2((n_sq - rn_sq) * np.tanh(x), 2.0 * n * rn)
+    T_mag = 2.0 * e / np.sqrt(s + m * q / (4.0 * n_sq * rn_sq))
     if n_sq.ndim:
         return T_mag, phi
     return float(T_mag), float(phi)
@@ -469,4 +463,5 @@ def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     rho = np.asarray(evanescent_rate(k, cfg), dtype=float)
     if np.any(rho == 0.0):
         raise ZoneError("exact coefficients are singular at the zone edge rho = 0")
-    return _evanescent_coeffs(k, rho, cfg.L, k * k - rho * rho, k * k + rho * rho)
+    parts = _evanescent_parts(k, rho, rho * cfg.L, k * k - rho * rho)
+    return _evanescent_coeffs(k, rho, cfg.L, k * k + rho * rho, parts)

@@ -332,8 +332,9 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
     lo, hi = momentum_window(cfg, lower=1e-12 * cfg.w, upper=cfg.w * (1.0 - 1e-12))
 
     def amplitude(k, times):
-        rho, F, theta = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
-        return (2.0 * k * rho / F) * np.exp(1j * theta) * _packet(k, times, cfg)
+        # T e^{ikL} = c e^{i theta} / cosh x, 1 / cosh x = 2 e^{-x} / (1 + e^{-2x})
+        _, _, e, c, theta = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
+        return (2.0 * e / (1.0 + e * e) * c) * np.exp(1j * theta) * _packet(k, times, cfg)
 
     return _fields(grid, times, single, "transmitted-tunnel",
                    *_spectral_field(amplitude, times, lo, hi, grid.x - half, grid.spacing,

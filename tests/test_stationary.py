@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -193,6 +194,20 @@ class TestTunnelAmplitude:
         assert math.isfinite(dtheta)
         assert dtheta == pytest.approx(k / m * nr_phase_time(k, opaque), rel=1e-14)
 
+    @pytest.mark.parametrize("rho_L", [709.0, 711.0, 1.6e4])
+    def test_amplitudes_of_an_opaque_barrier(self, rho_L):
+        # cosh(rho L) overflows past rho L of about 710; the amplitudes do not
+        w, k = 2.0, 1.2
+        rho = math.sqrt(w * w - k * k)
+        cfg = tunnel_cfg(w=w, L=rho_L / rho, k0=k)
+        sc = tunnel_amplitude_nr(k, cfg)
+        opaque_theta = math.atan2(2.0 * k * k - w * w, 2.0 * k * rho)
+        assert sc.theta == pytest.approx(opaque_theta, abs=1e-15)
+        assert tunnel_phase(np.array([k]), cfg)[0] == sc.theta
+        assert abs(sc.R) == pytest.approx(1.0, abs=1e-15)
+        assert abs(sc.T) < 1e-300
+        assert cmath.isfinite(sc.alpha_coef) and cmath.isfinite(sc.beta_coef)
+
 
 class TestMultipeak:
     def test_first_reflection_value(self):
@@ -294,14 +309,29 @@ class TestSymmetricCollision:
             assert R == pytest.approx(R0 * np.exp(-1j * k * cfg.L), abs=1e-12)
             assert T == pytest.approx(T0, abs=1e-12)
 
-    def test_unitarity_and_unimodularity(self):
-        cfg = tunnel_cfg(L=2.0)
+    @staticmethod
+    def assert_unitary_and_unimodular(cfg):
         ks = np.linspace(1e-4, cfg.w * (1 - 1e-9), 3000)
         R, T = symmetric_amplitudes(ks, cfg)
         assert np.max(np.abs(np.abs(R) ** 2 + np.abs(T) ** 2 - 1.0)) < 1e-12
         for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
             comb = R + parity.sign * T
             assert np.max(np.abs(np.abs(comb) - 1.0)) < 1e-12
+
+    def test_unitarity_and_unimodularity(self):
+        self.assert_unitary_and_unimodular(tunnel_cfg(L=2.0))
+
+    # w = 1, so wL is the grid's largest opacity rho L; cosh overflows past 710
+    @pytest.mark.parametrize("wL", [709.0, 711.0, 1.6e4])
+    def test_unitarity_of_an_opaque_barrier(self, wL):
+        cfg = tunnel_cfg(L=wL)
+        self.assert_unitary_and_unimodular(cfg)
+        # the intra-barrier pair ~ e^{-x/2}, e^{-3x/2} and the phases stay finite
+        ks = np.linspace(1e-4, cfg.w * (1 - 1e-9), 300)
+        for values in (*symmetric_intra_barrier_coeffs(ks, cfg),
+                       symmetric_phase(ks, cfg, Parity.SYMMETRIC),
+                       symmetric_phase(ks, cfg, Parity.ANTISYMMETRIC)):
+            assert np.all(np.isfinite(values))
 
     def test_zero_width(self):
         cfg = tunnel_cfg(L=0.0)
@@ -400,13 +430,17 @@ class TestRelativisticTransmission:
         # the phase (not the modulus) agrees with the barrier-scale form
         _, phi = relativistic_transmission(2.0, 5.0, cfg.w * cfg.L)
         assert sc.theta == pytest.approx(phi, abs=1e-12)
-        # arrays across the zone, up to rho L = 40: unitarity at every n^2, the
-        # transfer matrix at both ends and the middle, scalar calls as elements
-        for upsilon in (0.5, 5.0, 50.0):
+        # arrays across the zone, up to rho L = 788: unitarity at every n^2, the
+        # transfer matrix at both ends and the middle, scalar calls as elements.
+        # At wL = 800 the 60-digit oracle keeps no digit of T or beta (sizes
+        # e^{-x} and e^{-2x}, x = rho L), so there theta is read from R = -i |R|
+        # e^{i theta}, and T and beta must underflow to 0 wherever e^{-x} and
+        # e^{-2x} do; upsilon = 0.05 reaches x = 788, past cosh's overflow at 710.
+        for upsilon in (0.05, 0.5, 5.0, 50.0):
             w = math.sqrt(2.0 * upsilon)
             n_sq = np.linspace(max(0.5 * upsilon - 1.0, 0.0), 0.5 * upsilon + 1.0, 203)[1:-1]
             ks = np.sqrt(n_sq) * w
-            for wL in (0.1, 2.0 * math.pi, 40.0):
+            for wL in (0.1, 2.0 * math.pi, 40.0, 800.0):
                 cfg = PhysicalConfig.kg_tunneling(m=1.0, V0=upsilon, L=wL / w, a=1.0,
                                                   k0=float(ks[0]))
                 sc = kg_scatter_coeffs(ks, cfg)
@@ -416,9 +450,18 @@ class TestRelativisticTransmission:
                 for i in points:
                     R_o, T_o, A_o, B_o = transfer_matrix_amplitudes(ks[i], 1j * rho[i], cfg.L)
                     assert sc.R[i] == pytest.approx(R_o, abs=1e-12)
-                    assert sc.T[i] == pytest.approx(T_o, rel=1e-12)
                     assert sc.alpha_coef[i] == pytest.approx(A_o, rel=1e-12)
-                    assert sc.beta_coef[i] == pytest.approx(B_o, rel=1e-12)
+                    if wL < 800.0:
+                        assert sc.T[i] == pytest.approx(T_o, rel=1e-12)
+                        assert sc.beta_coef[i] == pytest.approx(B_o, rel=1e-12)
+                    else:
+                        assert sc.theta[i] == pytest.approx(cmath.phase(1j * R_o), abs=1e-12)
+                if wL == 800.0:
+                    x = rho * cfg.L
+                    assert np.all(sc.T[np.exp(-x) == 0.0] == 0.0)
+                    assert np.all(sc.beta_coef[np.exp(-2.0 * x) == 0.0] == 0.0)
+                    if upsilon == 0.05:
+                        assert x[0] > 745.0 and sc.T[0] == 0.0 and sc.beta_coef[0] == 0.0
                 assert_scalar_calls_match(lambda k: kg_scatter_coeffs(k, cfg), sc, ks, points)
 
 

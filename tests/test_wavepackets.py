@@ -223,6 +223,17 @@ class TestPropagation:
         expected = np.trapezoid(g2 * np.abs(tunnel_amplitude_nr(ks, cfg).T) ** 2, ks)
         assert norm == pytest.approx(expected, rel=2e-2)
 
+    def test_tunnel_transmitted_of_an_opaque_barrier(self):
+        # w = 200, L = 8: rho L is about 1600 over the whole window, past cosh's
+        # overflow at 710; the transmitted amplitude underflows to 0 instead
+        cfg = PhysicalConfig.tunneling(m=1.0, V0=200.0 ** 2 / 2.0, L=8.0, a=1.0, k0=1.0,
+                                       x0=-8.0)
+        grid = SpatialGrid(cfg.L / 2.0, cfg.L / 2.0 + 40.0, 601)
+        fld = propagate_tunnel_transmitted(grid, 8.0, cfg)
+        assert np.all(np.isfinite(fld.values))
+        assert fld.converged
+        assert np.max(fld.density()) == 0.0
+
 
 class TestMultipeakSeries:
     def test_first_transmitted_peak_delay(self):
