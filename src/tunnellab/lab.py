@@ -25,6 +25,8 @@ from . import __version__
 from .core import PhysicalConfig, ZoneError, _in_rel_zone
 from .stationary import Parity, relativistic_transmission
 from .observables import (
+    _KMAX_N_SCAN,
+    _KMAX_TOL_KA,
     _saturation_start,
     _symmetric_triple,
     kmax_find,
@@ -424,7 +426,7 @@ def _run_table1(config: dict, sweep) -> list[ResultTable]:
         name="table1",
         columns=["wa", "L_over_a", "kmax_a"],
         rows=rows,
-        provenance={"grid.n_scan": 2000, "grid.tol_ka": 1e-8},
+        provenance={"grid.n_scan": _KMAX_N_SCAN, "grid.tol_ka": _KMAX_TOL_KA},
     )]
 
 

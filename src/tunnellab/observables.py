@@ -231,6 +231,8 @@ def barrier_top_time(alpha, cfg: PhysicalConfig):
 # ---------------------------------------------------------------------------
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_KMAX_N_SCAN = 2000     # kmax_find's scan points per cell
+_KMAX_TOL_KA = 1e-8     # kmax_find's final bracket width, in units of 1/a
 
 
 def distortion_flag(cfg: PhysicalConfig) -> bool:
@@ -260,16 +262,19 @@ def distortion_threshold_length(cfg: PhysicalConfig) -> float:
     return cfg.a * math.sqrt(1.5 * ratio)
 
 
-def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
+def kmax_find(cfgs, *, n_scan: int = _KMAX_N_SCAN, tol_ka: float = _KMAX_TOL_KA):
     """Argmax of g(k - k0) |T(k, L)| over (0, w) for one config or a sequence.
 
     A config gives a SpectralMaximum, a sequence a list in order.  Each cell
-    is scanned on n_scan points; one golden-section loop then refines every
-    cell in lockstep, one objective call per iteration, until each bracket is
-    below tol_ka / a.  That bounds the bracket, not the error: the objective
-    is flat to rounding at its maximum (docs/DECISIONS.md D5).  Below the
-    distortion threshold it is unimodal with its maximum in (k0, w).  A cell
-    whose scan overflows |T| (w L above about 350) raises ZoneError: the
+    is bracketed by the argmax of its n_scan np.linspace points; one
+    golden-section loop then refines every cell in lockstep, one objective
+    call per iteration, until each bracket is below tol_ka / a.  That bounds
+    the bracket, not the error: the objective is flat to rounding at its
+    maximum (docs/DECISIONS.md D5).  Below the distortion threshold it is
+    unimodal with its maximum in (k0, w), so the scan reads every
+    isqrt(n_scan)-th point, then those within one stride of the best: the
+    same argmax (D12).  Distorted cells are scanned in full.  A cell whose
+    scan overflows |T| (w L above about 350) raises ZoneError: the
     overflowed |T| reads 0 and the scan would return an arbitrary point.
     """
     single = isinstance(cfgs, PhysicalConfig)
@@ -283,18 +288,42 @@ def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
     def objective(k, w, a, k0, L):
         return np.exp(-a * a * (k - k0) ** 2 / 4.0) * nr_transmission_mag(k, w, L)
 
-    brackets = []
-    with np.errstate(over="raise"):
-        for cfg in cells:
-            ks = np.linspace(cfg.w * 1e-9, cfg.w * (1.0 - 1e-12), n_scan)
-            try:
-                i = int(np.argmax(objective(ks, cfg.w, cfg.a, cfg.k0, cfg.L)))
-            except FloatingPointError:
-                raise ZoneError(f"the filtered-spectrum scan overflows at w a = {cfg.w * cfg.a:g},"
-                                f" L/a = {cfg.L / cfg.a:g}: the barrier is too opaque") from None
-            brackets.append((float(ks[max(i - 1, 0)]), float(ks[min(i + 1, n_scan - 1)])))
-    lo, hi = np.array(brackets).T.copy()
+    flags = [distortion_flag(cfg) for cfg in cells]
     w, a, k0, L = np.array([(cfg.w, cfg.a, cfg.k0, cfg.L) for cfg in cells]).T.copy()
+    # np.linspace's own points: i step + start, stop at the last index.  The indices are
+    # floats, as in np.linspace; integer ones run numpy loops worth 0.25 MB of RSS (D12)
+    start = w * 1e-9
+    stop = w * (1.0 - 1e-12) if n_scan > 1 else start
+    step = (stop - start) / max(n_scan - 1, 1)
+
+    def points(rows, idx):
+        """The scan points at indices idx, one row of idx per cell in rows."""
+        return np.where(idx < n_scan - 1, idx * step[rows, None] + start[rows, None], stop[rows, None])
+
+    def scan(rows, idx):
+        """The index, among each row of idx, of the cell's largest objective value."""
+        f = objective(points(rows, idx), *(x[rows, None] for x in (w, a, k0, L)))
+        return np.broadcast_to(idx, f.shape)[np.arange(len(rows)), f.argmax(axis=1)]
+
+    stride = math.isqrt(n_scan)
+    width = min(2 * stride + 1, n_scan)
+    coarse = np.array([[*range(0, n_scan - 1, stride), n_scan - 1]], dtype=float)
+    calm, chunk = [i for i, flag in enumerate(flags) if not flag], max(n_scan // width, 1)
+    index = np.empty(len(cells))
+    with np.errstate(over="raise"):
+        try:
+            for i in (j for j, flag in enumerate(flags) if flag):
+                index[i] = scan([i], np.arange(float(n_scan))[None])[0]
+            for rows in (calm[i:i + chunk] for i in range(0, len(calm), chunk)):
+                first = np.clip(scan(rows, coarse) - stride, 0, n_scan - width)
+                index[rows] = scan(rows, first[:, None] + np.arange(float(width)))
+        except FloatingPointError:
+            with np.errstate(over="ignore"):    # overflow grows as k falls; only it makes |T| 0
+                cfg = cells[int(np.argmax(nr_transmission_mag(start, w, L) == 0.0))]
+            raise ZoneError(f"the filtered-spectrum scan overflows at w a = {cfg.w * cfg.a:g},"
+                            f" L/a = {cfg.L / cfg.a:g}: the barrier is too opaque") from None
+    lo, hi = points(slice(None), np.clip(index[:, None] + [-1.0, 1.0], 0, n_scan - 1)).T.copy()
+    brackets = list(zip(lo.tolist(), hi.tolist()))
     tol = tol_ka / a
     c, d = hi - (hi - lo) * _INV_PHI, lo + (hi - lo) * _INV_PHI
     fc, fd = objective(c, w, a, k0, L), objective(d, w, a, k0, L)
@@ -309,8 +338,8 @@ def kmax_find(cfgs, *, n_scan: int = 2000, tol_ka: float = 1e-8):
         f = objective(np.where(left, c[active], d[active]), *(x[active] for x in (w, a, k0, L)))
         fc[lt], fd[rt] = f[left], f[~left]
         active = active[hi[active] - lo[active] > tol[active]]
-    found = [SpectralMaximum(float(0.5 * (low + high)), distortion_flag(cfg), bracket)
-             for low, high, cfg, bracket in zip(lo, hi, cells, brackets)]
+    found = [SpectralMaximum(float(0.5 * (low + high)), flag, bracket)
+             for low, high, flag, bracket in zip(lo, hi, flags, brackets)]
     return found[0] if single else found
 
 

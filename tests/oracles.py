@@ -4,7 +4,8 @@ These deliberately avoid the library's closed-form route: scattering
 amplitudes come from a 2x2 transfer-matrix product over the interfaces,
 derivatives come from central finite differences, spectral sums are
 accumulated one momentum at a time instead of by FFT, and the filtered
-spectrum's maximum is a 40-digit root of its logarithmic derivative.
+spectrum's maximum is a 40-digit root of its logarithmic derivative, and
+its scan bracket comes from the argmax over every point of the scan.
 Emitted tables are checked against a cell-by-cell writer that hands the
 whole JSON mirror to the standard library's encoder, and the grid runners of
 ``hartman`` and ``symmetric-times`` against per-n and per-quantity loops.
@@ -22,6 +23,7 @@ import numpy as np
 from tunnellab.lab import ScenarioError, _format_value
 from tunnellab.observables import (
     nr_one_way_rate,
+    nr_transmission_mag,
     rel_phase_time,
     symmetric_dwell,
     symmetric_phase_time,
@@ -109,6 +111,13 @@ def filtered_spectrum_argmax(w: float, a: float, k0: float, L: float,
 
         return float(mpmath.findroot(slope, (mpmath.mpf(lo), mpmath.mpf(hi)),
                                      solver="anderson"))
+
+
+def full_scan_index(cfg, n_scan: int) -> int:
+    """Index of the largest g(k - k0)|T| over all n_scan np.linspace points of one cell."""
+    ks = np.linspace(cfg.w * 1e-9, cfg.w * (1.0 - 1e-12), n_scan)
+    g = np.exp(-cfg.a * cfg.a * (ks - cfg.k0) ** 2 / 4.0)
+    return int(np.argmax(g * nr_transmission_mag(ks, cfg.w, cfg.L)))
 
 
 def reference_emit(tables, prefix: str, *, json_mirror: bool = False,

@@ -37,3 +37,15 @@ def test_work_items_pass_the_gate(workload, seed, tmp_path):
         gate.item(item.name, None, outputs, lambda path: path.read_text(encoding="utf-8"))
     assert gate.attempted > 0
     assert gate.failed == 0, "\n".join(gate.report())
+
+
+@pytest.mark.parametrize("seed", range(scenarios.VARIANTS))
+def test_table1_csv_equals_the_reference_text(seed, tmp_path):
+    # the gate allows kmax_a to move by tol_ka; the scan and the search are
+    # exact, so the emitted table is pinned byte for byte
+    reference = verify.load_reference(scenarios.variant_of(seed), "table1")
+    (item,) = scenarios.work_items("table1", seed, tmp_path / "config")
+    item.finish(item.run(tmp_path), tmp_path)
+    outputs = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()
+               if path.is_file()}
+    assert outputs == reference[item.name]

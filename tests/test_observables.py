@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, filtered_spectrum_argmax
+from oracles import central_difference, filtered_spectrum_argmax, full_scan_index
 
 from tunnellab import observables
 from tunnellab.core import PhysicalConfig, ZoneError, rho_n_squared
@@ -275,15 +275,75 @@ class TestLockstepSearch:
     def test_one_objective_call_per_iteration(self, objective_calls):
         cells = table1_cells(1.0)
         assert len(cells) == 147
+        assert sum(map(distortion_flag, cells)) == 7
         kmax_find(cells)
-        # 147 scans of 2000 points, the two first probes, then 31 iterations:
-        # the widest bracket (wa = 20) takes 31, the narrowest (wa = 1.5) 25
-        assert len(objective_calls) == 180
-        assert objective_calls[:147] == [2000] * 147
-        assert objective_calls[147:149] == [147, 147]
-        probes = objective_calls[149:]
+        # a full 2000-point scan of each of the 7 distorted cells; the other
+        # 140 in chunks of 2000 // 89 = 22 cells (six of 22, one of 8), each
+        # a 47-point coarse and an 89-point fine pass; the two first probes,
+        # then 31 iterations: the widest bracket (wa = 20) takes 31, the
+        # narrowest (wa = 1.5) 25
+        assert len(objective_calls) == 54
+        assert objective_calls[:7] == [2000] * 7
+        assert objective_calls[7:21] == [22 * 47, 22 * 89] * 6 + [8 * 47, 8 * 89]
+        assert max(objective_calls) == 2000
+        assert objective_calls[21:23] == [147, 147]
+        probes = objective_calls[23:]
         assert probes[0] == 147 and probes[-1] == sum(cfg.w == 20.0 for cfg in cells)
         assert probes == sorted(probes, reverse=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_opaque_cell_is_named_across_chunks(self):
+        # the undistorted cells are scanned 22 to a call and the distorted ones
+        # alone and first; whichever call overflows, the error names the first
+        # opaque cell in input order
+        def cell(wa, Lba):
+            return PhysicalConfig(m=1.0, V0=wa * wa / 2.0, L=Lba, a=1.0, k0=1.0)
+
+        table = table1_cells(1.0)
+        calm = [cfg for cfg in table if not distortion_flag(cfg)][:40]
+        lead, tail = next(filter(distortion_flag, table)), cell(400.0, 2.0)
+        assert distortion_flag(tail) and not distortion_flag(cell(350.0, 1.0))
+        assert not distortion_flag(cell(1000.0, 1.0))
+        for first, second in ((1000.0, 350.0), (350.0, 1000.0)):
+            # the first opaque cell is the 11th undistorted one (first chunk),
+            # the second the 32nd (second chunk)
+            cells = ([lead] + calm[:10] + [cell(first, 1.0)] + calm[10:30]
+                     + [cell(second, 1.0)] + calm[30:] + [tail])
+            with pytest.raises(ZoneError, match=f"w a = {first:g}, L/a = 1:"):
+                kmax_find(cells)
+
+
+def scan_bracket(cfg, n_scan):
+    """The bracket of the full-scan argmax: its two neighbouring scan points."""
+    ks = np.linspace(cfg.w * 1e-9, cfg.w * (1.0 - 1e-12), n_scan)
+    i = full_scan_index(cfg, n_scan)
+    return float(ks[max(i - 1, 0)]), float(ks[min(i + 1, n_scan - 1)])
+
+
+_SCAN_CELL = st.builds(
+    lambda w, a, k0_frac, wL: PhysicalConfig(m=1.0, V0=w * w / 2.0, L=wL / w, a=a, k0=k0_frac * w),
+    st.floats(1.2, 60.0), st.floats(0.3, 3.0), st.floats(0.02, 0.98),
+    st.one_of(st.just(0.0), st.floats(0.0, 8.0), st.floats(8.0, 300.0)))
+_CALM_OR_DISTORTED = st.one_of(_SCAN_CELL.filter(lambda cfg: not distortion_flag(cfg)),
+                               _SCAN_CELL.filter(distortion_flag))
+
+
+class TestScanEquivalence:
+    """The coarse-to-fine scan picks the same index as a scan of every point."""
+
+    def test_benchmark_cells(self):
+        cells = table1_cells(1.0) + table1_cells(1.1)
+        assert len(cells) == 294
+        assert [result.bracket for result in kmax_find(cells)] == [
+            scan_bracket(cfg, observables._KMAX_N_SCAN) for cfg in cells]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_CALM_OR_DISTORTED, min_size=1, max_size=30),
+           st.sampled_from([1, 2, 3, 4, 5, 7, 2000, 2001]))
+    def test_random_cells(self, cells, n_scan):
+        found = kmax_find(cells, n_scan=n_scan)
+        assert [result.bracket for result in found] == [scan_bracket(cfg, n_scan) for cfg in cells]
+        assert [result.distorted for result in found] == [distortion_flag(cfg) for cfg in cells]
 
 
 class TestSpectralMaximumOracle:
