@@ -25,18 +25,15 @@ from . import __version__
 from .core import PhysicalConfig, ZoneError, _in_rel_zone
 from .stationary import Parity, relativistic_transmission
 from .observables import (
+    _IDENTITY_N_QUAD,
     _KMAX_N_SCAN,
     _KMAX_TOL_KA,
+    _RelZone,
     _saturation_start,
     _symmetric_triple,
     kmax_find,
     naive_above_barrier_times,
     nr_one_way_rate,
-    rel_dwell,
-    rel_phase_time,
-    rel_rescaled_dwell,
-    rel_self_interference,
-    rel_variational_residual,
     symmetric_phase_time,
 )
 from .wavepackets import (
@@ -266,8 +263,12 @@ def _rows(columns) -> list[tuple]:
 
 
 def _zone_bounds(upsilon: float, margin: float) -> tuple[float, float]:
-    """n^2 bounds of the tunneling zone (n^2 - upsilon/2)^2 < 1, moved in by margin."""
-    return max(0.5 * upsilon - 1.0, 0.0) + margin, 0.5 * upsilon + 1.0 - margin
+    """n^2 bounds of the tunneling zone, moved in by margin; ConfigError if they meet or cross."""
+    lower, upper = max(0.5 * upsilon - 1.0, 0.0), 0.5 * upsilon + 1.0
+    if not lower + margin < upper - margin:
+        raise ConfigError(f"edge_margin = {margin:g} is at least half the width {upper - lower:g}"
+                          f" of the tunneling zone at upsilon = {upsilon:g}")
+    return lower + margin, upper - margin
 
 
 def _above_barrier_cfg(config: dict) -> PhysicalConfig:
@@ -485,15 +486,13 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTab
         if ns.size == 0:
             continue
         T_mag, phi = relativistic_transmission(ns, upsilon, wL)
-        if upsilon > 0.0:
-            rel_only = [rel_rescaled_dwell(ns, upsilon, wL),
-                        rel_self_interference(ns, upsilon, wL),
-                        rel_variational_residual(ns, upsilon, wL)]
-        else:
-            rel_only = [np.full(ns.size, math.nan)] * 3
+        zone = _RelZone(ns, upsilon, wL)   # one solution behind every time of this upsilon
+        t_dwell = zone.dwell(continuity=False)
+        rel_only = ([(zone.S - upsilon) * t_dwell, zone.self_interference(),
+                     zone.residual(_IDENTITY_N_QUAD)] if upsilon > 0.0
+                    else [np.full(ns.size, math.nan)] * 3)
         rows += _rows([np.full(ns.size, upsilon), ns, T_mag ** 2, phi,
-                       rel_phase_time(ns, upsilon, wL), rel_dwell(ns, upsilon, wL),
-                       *rel_only])
+                       zone.phase_time, t_dwell, *rel_only])
     return [ResultTable(
         name="relativistic_times",
         columns=["upsilon", "n_sq", "T_sq", "phase", "t_phase", "t_dwell",
@@ -519,8 +518,8 @@ def _run_hartman(config: dict, sweep) -> list[ResultTable]:
             start = _saturation_start(alphas, band[i])
             rows.append((label, n, math.nan if start is None else start, float(curve[i, -1])))
     upsilon = config["upsilon"]
-    rel = rel_phase_time(np.linspace(*_zone_bounds(upsilon, _HARTMAN_EDGE_MARGIN), 101),
-                         upsilon, config["wL"])
+    rel = _RelZone(np.linspace(*_zone_bounds(upsilon, _HARTMAN_EDGE_MARGIN), 101),
+                   upsilon, config["wL"]).phase_time
     finite = bool(np.all(np.isfinite(rel)))
     rows.append(("relativistic", upsilon, math.nan, float(np.max(np.abs(rel)))))
     return [ResultTable(
@@ -579,7 +578,7 @@ _SCHEMA: dict[str, _Scenario] = {
     "relativistic-times": _Scenario(
         {"wL": (2.0 * math.pi, _WL), "upsilon_values": ([0.0, 1.0, 2.0, 5.0, 10.0], _UPSILON),
          "n_sq_steps": (101, _STEPS), "edge_margin": (1e-3, "[0, 1)")},
-        work=("upsilon_values", "n_sq_steps", 160), sweep=("n_sq", "n_sq_steps"),
+        work=("upsilon_values", "n_sq_steps", _IDENTITY_N_QUAD), sweep=("n_sq", "n_sq_steps"),
         run=_run_relativistic_times),
     "hartman": _Scenario(
         {"n_values": ([0.1, 0.3, 0.5, 0.7, 0.9], "(0, 1)"), "alpha_max": (60.0, "(0.5, inf)"),

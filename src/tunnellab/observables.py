@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 _FIELD_ROWS = 1024    # rows per (rows x n_quad) interior field of the identity check
+_IDENTITY_N_QUAD = 160    # Gauss-Legendre nodes per row of the identity check
 
 
 def _as_1d(*values):
@@ -422,14 +423,9 @@ def fermion_acceleration_predicate(n, alpha) -> bool:
 # relativistic suite (arguments: n_sq = k^2/w^2, upsilon = V0/m, wL)
 # ---------------------------------------------------------------------------
 
-def _rel_S(n_sq, upsilon: float):
-    return np.sqrt(1.0 + 2.0 * n_sq * upsilon)
-
-
-def _rel_phase_brackets(n_sq, upsilon: float):
-    """Polynomial brackets of the phase-time ratio; zero-order parts vanish
-    at the zone edges."""
-    S = _rel_S(n_sq, upsilon)
+def _rel_phase_brackets(n_sq, upsilon: float, S):
+    """Polynomial brackets of the phase-time ratio, S = sqrt(1 + 2 n^2 upsilon);
+    zero-order parts vanish at the zone edges."""
     A = 8.0 * n_sq * ((2.0 + 8.0 * n_sq * upsilon + upsilon ** 2)
                       - (4.0 * n_sq + 3.0 * upsilon) * S)
     B = 4.0 * ((4.0 + 4.0 * n_sq * upsilon + upsilon ** 2) * S
@@ -440,6 +436,63 @@ def _rel_phase_brackets(n_sq, upsilon: float):
     return A, B, C, D
 
 
+class _RelZone:
+    """The tunneling-zone solution of one (upsilon, wL) at every n_sq, zone checked once:
+    S = sqrt(1 + 2 n^2 upsilon), rho_n^2, the scaled parts of x = rho_n wL and, on first
+    use, the Klein-Gordon continuity solution.  Each relativistic time is a view (D13)."""
+
+    def __init__(self, n_sq, upsilon: float, wL: float):
+        (n_sq,), self.scalar = _as_1d(n_sq)
+        _check_rel_zone(n_sq, upsilon)
+        self.n_sq, self.upsilon, self.wL = n_sq, upsilon, wL
+        self.S, self.rn_sq = np.sqrt(1.0 + 2.0 * n_sq * upsilon), rho_n_squared(n_sq, upsilon)
+        self.parts = scaled(np.sqrt(self.rn_sq) * wL)
+
+    @functools.cached_property
+    def phase_time(self) -> np.ndarray:
+        A, B, C, D = _rel_phase_brackets(self.n_sq, self.upsilon, self.S)
+        s, p, q, m = self.parts
+        return ((A + B) * s + B * m * p) / (C * s + D * m * q)
+
+    def dwell(self, continuity: bool) -> np.ndarray:
+        """Dwell ratio; K^4 = 1 (barrier scale) or (n^2 + rho_n^2)^2 (continuity) scales sinh^2."""
+        n_sq, rn_sq = self.n_sq, self.rn_sq
+        K4 = (n_sq + rn_sq) ** 2 if continuity else np.ones_like(n_sq)
+        s, p, q, m = self.parts
+        num = 2.0 * rn_sq * s + (rn_sq + n_sq) * m * p
+        return num / (2.0 * self.S * (rn_sq * s + K4 * m * q / (4.0 * n_sq)))
+
+    @functools.cached_property
+    def continuity(self):
+        """(k, cfg, coefficients) of the m = 1 continuity solution; cfg's k0 need only be valid."""
+        if self.upsilon <= 0.0:
+            raise ZoneError("the relativistic family needs upsilon > 0")
+        w = math.sqrt(2.0 * self.upsilon)
+        k = np.sqrt(self.n_sq) * w
+        cfg = PhysicalConfig(m=1.0, V0=self.upsilon, L=self.wL / w, a=1.0, k0=float(k[0]),
+                             dispersion=Dispersion.RELATIVISTIC_KG)
+        return k, cfg, kg_scatter_coeffs(k, cfg)
+
+    def self_interference(self) -> np.ndarray:
+        k, cfg, sc = self.continuity
+        return -sc.R.imag / (k * cfg.L)
+
+    def residual(self, n_quad: int) -> np.ndarray:
+        k, cfg, sc = self.continuity
+        L, V0, E = cfg.L, cfg.V0, np.sqrt(k * k + 1.0)
+        rho = evanescent_rate(k, cfg)[:, None]   # the rate the coefficients were built with
+        xs, wq = _gauss_legendre(n_quad)
+        xs, wq = 0.5 * L * (xs + 1.0), wq * 0.5 * L
+        integral = np.empty_like(k)
+        for lo in range(0, k.size, _FIELD_ROWS):   # bounds the field's memory
+            rows = slice(lo, lo + _FIELD_ROWS)
+            phi2 = sc.alpha_coef[rows, None] * np.exp(-rho[rows] * xs) \
+                + sc.beta_coef[rows, None] * np.exp(rho[rows] * xs)
+            integral[rows] = np.sum(wq * np.abs(phi2) ** 2, axis=1)
+        tau = L * E / k
+        return self.phase_time - ((E - V0) / k * integral / tau + self.self_interference())
+
+
 def rel_phase_time(n_sq, upsilon: float, wL: float):
     """Normalized relativistic phase time t_phi/tau in the tunneling zone.
 
@@ -447,12 +500,8 @@ def rel_phase_time(n_sq, upsilon: float, wL: float):
     near-edge closed form as rho_n wL -> 0 and reduces to the
     non-relativistic one-way rate at upsilon = 0.
     """
-    (n_sq,), scalar = _as_1d(n_sq)
-    _check_rel_zone(n_sq, upsilon)
-    x = np.sqrt(rho_n_squared(n_sq, upsilon)) * wL
-    A, B, C, D = _rel_phase_brackets(n_sq, upsilon)
-    s, p, q, m = scaled(x)
-    return _restore(((A + B) * s + B * m * p) / (C * s + D * m * q), scalar)
+    zone = _RelZone(n_sq, upsilon, wL)
+    return _restore(zone.phase_time, zone.scalar)
 
 
 def rel_phase_time_near_edge(n_sq, upsilon: float):
@@ -462,7 +511,7 @@ def rel_phase_time_near_edge(n_sq, upsilon: float):
         / [(4 + 8n^2 u + u^2) S - 4u(1 + 2n^2 u)],  S = sqrt(1 + 2 n^2 u).
     """
     (n_sq,), scalar = _as_1d(n_sq)
-    _, B, _, D = _rel_phase_brackets(n_sq, upsilon)
+    _, B, _, D = _rel_phase_brackets(n_sq, upsilon, np.sqrt(1.0 + 2.0 * n_sq * upsilon))
     return _restore((2.0 / 3.0) * B / D, scalar)
 
 
@@ -498,24 +547,6 @@ def rel_transmission_zone_edge(upsilon: float, edge: str, wL: float) -> float:
     return (1.0 + wL * wL / (4.0 * n_sq)) ** -0.5   # 2 upsilon -+ 4 = 4 n^2 exactly
 
 
-def _rel_dwell_ratio(n_sq, upsilon: float, wL: float, continuity: bool):
-    """Shared body of :func:`rel_dwell` and :func:`rel_continuity_dwell`.
-
-    The two differ only in K^2 = (k^2 + rho^2)/w^2, whose square multiplies
-    the sinh^2 term: K^2 = 1 (barrier scale) or n^2 + rho_n^2 (continuity).
-    """
-    (n_sq,), scalar = _as_1d(n_sq)
-    _check_rel_zone(n_sq, upsilon)
-    S = _rel_S(n_sq, upsilon)
-    rn_sq = rho_n_squared(n_sq, upsilon)
-    K4 = (n_sq + rn_sq) ** 2 if continuity else np.ones_like(n_sq)
-    x = np.sqrt(rn_sq) * wL
-    s, p, q, m = scaled(x)
-    num = 2.0 * rn_sq * s + (rn_sq + n_sq) * m * p
-    den = 2.0 * S * (rn_sq * s + K4 * m * q / (4.0 * n_sq))
-    return _restore(num / den, scalar)
-
-
 def rel_dwell(n_sq, upsilon: float, wL: float):
     """Normalized relativistic dwell time t_D/tau in the tunneling zone.
 
@@ -527,7 +558,8 @@ def rel_dwell(n_sq, upsilon: float, wL: float):
     the dwell that ``relativistic-times`` emits; the one that the phase time
     splits into exactly is :func:`rel_continuity_dwell` (docs/DECISIONS.md, D1).
     """
-    return _rel_dwell_ratio(n_sq, upsilon, wL, continuity=False)
+    zone = _RelZone(n_sq, upsilon, wL)
+    return _restore(zone.dwell(continuity=False), zone.scalar)
 
 
 def rel_continuity_dwell(n_sq, upsilon: float, wL: float):
@@ -542,7 +574,8 @@ def rel_continuity_dwell(n_sq, upsilon: float, wL: float):
     t_phi/tau = ((E - V0)/m) t_D/tau + t_I/tau exactly. It equals
     :func:`rel_dwell` at upsilon = 0, where n^2 + rho^2 = 1.
     """
-    return _rel_dwell_ratio(n_sq, upsilon, wL, continuity=True)
+    zone = _RelZone(n_sq, upsilon, wL)
+    return _restore(zone.dwell(continuity=True), zone.scalar)
 
 
 def rel_dwell_zone_edge(upsilon: float, edge: str, wL: float) -> tuple[float, float]:
@@ -571,23 +604,8 @@ def rel_rescaled_dwell(n_sq, upsilon: float, wL: float):
 
     Changes sign exactly where E = V0, i.e. n^2 = (upsilon^2 - 1)/(2 upsilon).
     """
-    (n_sq,), scalar = _as_1d(n_sq)
-    factor = _rel_S(n_sq, upsilon) - upsilon
-    out = factor * np.atleast_1d(np.asarray(rel_dwell(n_sq, upsilon, wL)))
-    return _restore(out, scalar)
-
-
-def _kg_continuity(n_sq: np.ndarray, upsilon: float, wL: float):
-    """(k, cfg, coefficients) of the m = 1 continuity solution at every n_sq."""
-    _check_rel_zone(n_sq, upsilon)
-    if upsilon <= 0.0:
-        raise ZoneError("the relativistic family needs upsilon > 0")
-    w = math.sqrt(2.0 * upsilon)
-    k = np.sqrt(n_sq) * w
-    # kg_scatter_coeffs reads m, V0 and L from cfg; k0 only has to be valid
-    cfg = PhysicalConfig(m=1.0, V0=upsilon, L=wL / w, a=1.0, k0=float(k[0]),
-                         dispersion=Dispersion.RELATIVISTIC_KG)
-    return k, cfg, kg_scatter_coeffs(k, cfg)
+    zone = _RelZone(n_sq, upsilon, wL)
+    return _restore((zone.S - upsilon) * zone.dwell(continuity=False), zone.scalar)
 
 
 def rel_self_interference(n_sq, upsilon: float, wL: float):
@@ -596,12 +614,11 @@ def rel_self_interference(n_sq, upsilon: float, wL: float):
     t_I/tau = -(dk/dE) Im[R] / (k tau) = -Im[R]/(k L), with R from the
     continuity solution.
     """
-    (n_sq,), scalar = _as_1d(n_sq)
-    k, cfg, sc = _kg_continuity(n_sq, upsilon, wL)
-    return _restore(-sc.R.imag / (k * cfg.L), scalar)
+    zone = _RelZone(n_sq, upsilon, wL)
+    return _restore(zone.self_interference(), zone.scalar)
 
 
-def rel_variational_residual(n_sq, upsilon: float, wL: float, n_quad: int = 160):
+def rel_variational_residual(n_sq, upsilon: float, wL: float, n_quad: int = _IDENTITY_N_QUAD):
     """Residual of the phase/dwell identity, normalized by tau.
 
     t_phi/tau - [ ((E - V0)/k) integral |phi_2|^2 / tau + t_I/tau ]
@@ -609,25 +626,8 @@ def rel_variational_residual(n_sq, upsilon: float, wL: float, n_quad: int = 160)
     to quadrature roundoff.  The field is formed on (rows x n_quad) grids of
     at most _FIELD_ROWS rows.
     """
-    (n_sq,), scalar = _as_1d(n_sq)
-    k, cfg, sc = _kg_continuity(n_sq, upsilon, wL)
-    L, V0 = cfg.L, cfg.V0
-    E = np.sqrt(k * k + 1.0)
-    rho = evanescent_rate(k, cfg)[:, None]   # the rate the coefficients were built with
-    xs, wq = _gauss_legendre(n_quad)
-    xs = 0.5 * L * (xs + 1.0)
-    wq = wq * 0.5 * L
-    integral = np.empty_like(k)
-    for lo in range(0, k.size, _FIELD_ROWS):   # bounds the field's memory
-        rows = slice(lo, lo + _FIELD_ROWS)
-        phi2 = sc.alpha_coef[rows, None] * np.exp(-rho[rows] * xs) \
-            + sc.beta_coef[rows, None] * np.exp(rho[rows] * xs)
-        integral[rows] = np.sum(wq * np.abs(phi2) ** 2, axis=1)
-    tau = L * E / k
-    t_resc_norm = (E - V0) / k * integral / tau
-    t_self_norm = -sc.R.imag / (k * L)
-    t_phase_norm = rel_phase_time(n_sq, upsilon, wL)
-    return _restore(t_phase_norm - (t_resc_norm + t_self_norm), scalar)
+    zone = _RelZone(n_sq, upsilon, wL)
+    return _restore(zone.residual(n_quad), zone.scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ accumulated one momentum at a time instead of by FFT, and the filtered
 spectrum's maximum is a 40-digit root of its logarithmic derivative, and
 its scan bracket comes from the argmax over every point of the scan.
 Emitted tables are checked against a cell-by-cell writer that hands the
-whole JSON mirror to the standard library's encoder, and the grid runners of
-``hartman`` and ``symmetric-times`` against per-n and per-quantity loops.
+whole JSON mirror to the standard library's encoder, the grid runners of
+``hartman`` and ``symmetric-times`` against per-n and per-quantity loops, and
+``relativistic-times`` against one public call per column.
 """
 
 from __future__ import annotations
@@ -24,12 +25,16 @@ from tunnellab.lab import ScenarioError, _format_value
 from tunnellab.observables import (
     nr_one_way_rate,
     nr_transmission_mag,
+    rel_dwell,
     rel_phase_time,
+    rel_rescaled_dwell,
+    rel_self_interference,
+    rel_variational_residual,
     symmetric_dwell,
     symmetric_phase_time,
     symmetric_self_interference,
 )
-from tunnellab.stationary import Parity
+from tunnellab.stationary import Parity, relativistic_transmission
 
 
 def transfer_matrix_amplitudes(k: float, kappa_inside: complex, L: float):
@@ -202,3 +207,25 @@ def reference_symmetric_times_rows(config: dict) -> list[tuple]:
         columns += [tp, td, ts, tp - td - ts]
     columns.append(nr_one_way_rate(ns, alpha))
     return list(zip(*(np.asarray(col, dtype=float).tolist() for col in columns)))
+
+
+def reference_relativistic_times_rows(config: dict) -> list[tuple]:
+    """Rows of ``relativistic-times`` from one public call per column and upsilon."""
+    wL, margin, rows = config["wL"], config["edge_margin"], []
+    for upsilon in config["upsilon_values"]:
+        ns = np.linspace(max(0.5 * upsilon - 1.0, 0.0) + margin, 0.5 * upsilon + 1.0 - margin,
+                         config["n_sq_steps"])
+        ns = ns[(ns > 0.0) & (np.abs(ns - 0.5 * upsilon) < 1.0)]
+        if ns.size == 0:
+            continue
+        T_mag, phi = relativistic_transmission(ns, upsilon, wL)
+        if upsilon > 0.0:
+            rel_only = [rel_rescaled_dwell(ns, upsilon, wL),
+                        rel_self_interference(ns, upsilon, wL),
+                        rel_variational_residual(ns, upsilon, wL)]
+        else:
+            rel_only = [np.full(ns.size, math.nan)] * 3
+        columns = [np.full(ns.size, upsilon), ns, T_mag ** 2, phi,
+                   rel_phase_time(ns, upsilon, wL), rel_dwell(ns, upsilon, wL), *rel_only]
+        rows += zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return rows

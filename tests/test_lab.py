@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_emit, reference_hartman_rows, reference_symmetric_times_rows
-from tunnellab import lab
+from oracles import (
+    reference_emit,
+    reference_hartman_rows,
+    reference_relativistic_times_rows,
+    reference_symmetric_times_rows,
+)
+from tunnellab import lab, observables, stationary
 from tunnellab.cli import main
 from tunnellab.lab import (
     SCENARIO_NAMES,
@@ -279,6 +284,33 @@ class TestConfigSchema:
             assert f"w a = {wa}, L/a = 1" in capsys.readouterr().err
             assert not list(tmp_path.glob("out*"))
 
+    def test_edge_margin_past_half_the_zone_exits_2(self, tmp_path, capsys):
+        # the upsilon = 0 zone is 0 < n^2 < 1: a margin of 0.7 ran its rows
+        # backward from 0.7 to 0.3, which are 0.3 from the edges
+        config = tmp_path / "margin.json"
+        config.write_text(json.dumps({"config": {"upsilon_values": [0.0, 1.0],
+                                                 "edge_margin": 0.7, "n_sq_steps": 5}}))
+        assert main(["run", "relativistic-times", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "edge_margin = 0.7" in err and "upsilon = 0" in err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_edge_margin_limit_is_half_the_zone_width(self):
+        def rows(margin, upsilon, sweep=None):
+            text = json.dumps({"config": {"upsilon_values": [upsilon], "edge_margin": margin,
+                                          "n_sq_steps": 3}, "sweep": sweep})
+            return run_scenario(parse_config(text, "relativistic-times"))[0].rows
+
+        for upsilon, half in ((0.0, 0.5), (1.0, 0.75), (5.0, 1.0)):
+            if half < 1.0:   # edge_margin < 1 by the schema
+                with pytest.raises(ConfigError, match=f"upsilon = {upsilon:g}"):
+                    rows(half, upsilon)
+            ns = [row[1] for row in rows(0.999 * half, upsilon)]
+            assert ns == sorted(ns) and len(ns) == 3
+        # a sweep replaces the margin's grid, so the margin is not read
+        assert rows(0.7, 0.0, {"parameter": "n_sq", "min": 0.1, "max": 0.9, "steps": 3})
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_widest_barrier_runs_clean(self):
         # rho_n <= 1, so rho_n wL <= wL: at the bound no sinh, cosh or exp overflows
@@ -388,10 +420,10 @@ class TestRunScenarios:
                 else:
                     row += [math.nan] * 3
                 expected.append(tuple(row))
-        assert [row[:2] for row in table.rows] == [row[:2] for row in expected]
         assert {row[0] for row in table.rows} == {0.0, 1.0, 5.0, 10.0}
-        np.testing.assert_allclose(np.array(table.rows), np.array(expected),
-                                   rtol=0.0, atol=1e-15, equal_nan=True)
+        # repr: exact, and nan equals nan
+        assert [tuple(map(repr, row)) for row in table.rows] == \
+            [tuple(map(repr, row)) for row in expected]
         for row in table.rows:
             assert all(math.isnan(v) for v in row[6:]) == (row[0] == 0.0)
             assert all(math.isfinite(v) for v in row[:6])
@@ -422,7 +454,11 @@ class TestBatchedRunners:
         ("hartman", {"upsilon": 6.0, "wL": 1.8 * math.pi}, reference_hartman_rows),
         ("symmetric-times", {}, reference_symmetric_times_rows),
         ("symmetric-times", {"wL": 3.6 * math.pi}, reference_symmetric_times_rows),
-    ], ids=["hartman", "hartman-held-out", "symmetric-times", "symmetric-times-held-out"])
+        ("relativistic-times", {}, reference_relativistic_times_rows),
+        ("relativistic-times", {"wL": 1.8 * math.pi, "upsilon_values": [0.0, 1.5, 3.0, 6.0, 12.0]},
+         reference_relativistic_times_rows),
+    ], ids=["hartman", "hartman-held-out", "symmetric-times", "symmetric-times-held-out",
+            "relativistic-times", "relativistic-times-held-out"])
     def test_rows_equal_the_loops(self, name, overrides, reference):
         spec = parse_config(json.dumps({"config": overrides}), scenario=name)
         (table,) = run_scenario(spec)
@@ -431,6 +467,38 @@ class TestBatchedRunners:
         # repr: exact, and nan equals nan
         assert [tuple(map(repr, row)) for row in table.rows] == \
             [tuple(map(repr, row)) for row in expected]
+
+
+@pytest.fixture
+def solution_calls(monkeypatch):
+    """Counts the scaled calls of observables and stationary and the kg_scatter_coeffs calls."""
+    calls = {"scaled": 0, "kg_scatter_coeffs": 0}
+    for module, name in ((observables, "scaled"), (stationary, "scaled"),
+                         (observables, "kg_scatter_coeffs")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneRelativisticSolution:
+    """relativistic-times builds each part of one zone solution once per upsilon."""
+
+    def test_default_run_builds_each_part_once(self, solution_calls):
+        (table,) = run_scenario(parse_config("{}", scenario="relativistic-times"))
+        assert len(table.rows) == 5 * 101
+        # per upsilon one scaled call in relativistic_transmission and one in the
+        # zone solution; one continuity solution for each of the four upsilon > 0
+        assert solution_calls == {"scaled": 10, "kg_scatter_coeffs": 4}
+
+    def test_views_share_the_zone_parts(self, solution_calls):
+        zone = observables._RelZone(np.linspace(1.6, 3.4, 7), 5.0, 2.0 * math.pi)
+        for _ in range(2):
+            zone.phase_time, zone.dwell(continuity=True), zone.self_interference()
+            zone.residual(40)
+        assert solution_calls == {"scaled": 1, "kg_scatter_coeffs": 1}
 
 
 class TestEmission:
