@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 config error, 3 scenario error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,6 +31,7 @@ EXIT_SCENARIO = 3
 EXIT_IO = 4
 
 
+@functools.cache   # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tunnellab",
                                      description="rectangular-barrier scattering laboratory")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import PhysicalConfig, ZoneError, _in_rel_zone
-from .stationary import Parity, relativistic_transmission
+from .stationary import Parity
 from .observables import (
     _IDENTITY_N_QUAD,
     _KMAX_N_SCAN,
@@ -346,12 +346,12 @@ def _run_multipeak(config: dict, sweep) -> list[ResultTable]:
         "beta": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)),
         "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x),
     }
-    rows = []
-    for idx, t in enumerate(snapshots):
-        for tag, grid in regions.items():
-            fld = multipeak_partial_sum_field(tag, n_terms, grid, t, cfg)
-            pk = field_peak(fld)
-            rows.append((idx, t, tag, pk.x, pk.density))
+    # one series call per component over every snapshot, its fields dropped once read
+    found = {tag: [field_peak(fld) for fld in
+                   multipeak_partial_sum_field(tag, n_terms, grid, snapshots, cfg)]
+             for tag, grid in regions.items()}
+    rows = [(idx, t, tag, found[tag][idx].x, found[tag][idx].density)
+            for idx, t in enumerate(snapshots) for tag in regions]
     peaks = ResultTable(
         name="multipeak_peaks",
         columns=["snapshot", "t", "component", "x_peak", "density_peak"],
@@ -382,23 +382,17 @@ def _run_confront(config: dict, sweep) -> list[ResultTable]:
 
     sample_stride = max(1, n_x // 80)
 
-    def one(idx, t, tag, num):
-        grid = grids[tag]
-        ana = multipeak_partial_sum_field(tag, n_terms, grid, t, cfg)
-        d_ana = ana.density()
-        d_num = num.density()
-        max_diff = float(np.max(np.abs(d_ana - d_num)))
-        pairs = [(idx, t, tag, float(x), float(da), float(dn))
-                 for x, da, dn in zip(grid.x[::sample_stride],
-                                      d_ana[::sample_stride],
-                                      d_num[::sample_stride])]
-        return (idx, t, tag, max_diff, float(d_num.max())), pairs
-
     found = {}
-    for tag, grid in grids.items():   # one quadrature per component, over every snapshot
+    for tag, grid in grids.items():   # one quadrature and one series per component
         numeric = propagate_component(tag, grid, snapshots, cfg)
-        for idx, (t, num) in enumerate(zip(snapshots, numeric)):
-            found[idx, tag] = one(idx, t, tag, num)
+        analytic = multipeak_partial_sum_field(tag, n_terms, grid, snapshots, cfg)
+        xs = grid.x[::sample_stride].tolist()
+        for idx, (t, num, ana) in enumerate(zip(snapshots, numeric, analytic)):
+            d_ana, d_num = ana.density(), num.density()
+            pairs = [(idx, t, tag, *cells) for cells in zip(
+                xs, d_ana[::sample_stride].tolist(), d_num[::sample_stride].tolist())]
+            found[idx, tag] = (idx, t, tag, float(np.max(np.abs(d_ana - d_num))),
+                               float(d_num.max())), pairs
     results = [found[idx, tag] for idx in range(len(snapshots)) for tag in grids]
     diffs = ResultTable(
         name="confront_summary",
@@ -485,8 +479,8 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTab
         ns = ns[_in_rel_zone(ns, upsilon)]
         if ns.size == 0:
             continue
-        T_mag, phi = relativistic_transmission(ns, upsilon, wL)
-        zone = _RelZone(ns, upsilon, wL)   # one solution behind every time of this upsilon
+        zone = _RelZone(ns, upsilon, wL)   # one solution behind every column of this upsilon
+        T_mag, phi = zone.transmission()
         t_dwell = zone.dwell(continuity=False)
         rel_only = ([(zone.S - upsilon) * t_dwell, zone.self_interference(),
                      zone.residual(_IDENTITY_N_QUAD)] if upsilon > 0.0

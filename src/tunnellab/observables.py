@@ -33,6 +33,7 @@ from ._hyperbolic import one_way_rate, scaled
 from .stationary import (
     Parity,
     _check_tunnel_zone,
+    _evanescent_parts,
     above_barrier_phase_derivative,
     kg_scatter_coeffs,
     symmetric_intra_barrier_coeffs,
@@ -447,6 +448,14 @@ class _RelZone:
         self.n_sq, self.upsilon, self.wL = n_sq, upsilon, wL
         self.S, self.rn_sq = np.sqrt(1.0 + 2.0 * n_sq * upsilon), rho_n_squared(n_sq, upsilon)
         self.parts = scaled(np.sqrt(self.rn_sq) * wL)
+
+    def transmission(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|T|, phi) of stationary.relativistic_transmission: the evanescent phase at
+        k = n, rho = rho_n and the barrier-scale modulus from the scaled parts."""
+        n_sq, rn_sq, rn = self.n_sq, self.rn_sq, np.sqrt(self.rn_sq)
+        _, e, _, phi = _evanescent_parts(np.sqrt(n_sq), rn, rn * self.wL, n_sq - rn_sq)
+        s, _, q, m = self.parts
+        return 2.0 * e / np.sqrt(s + m * q / (4.0 * n_sq * rn_sq)), phi
 
     @functools.cached_property
     def phase_time(self) -> np.ndarray:

@@ -27,12 +27,10 @@ from .core import (
     Dispersion,
     PhysicalConfig,
     ZoneError,
-    _check_rel_zone,
     evanescent_rate,
     propagating_momentum,
-    rho_n_squared,
 )
-from ._hyperbolic import one_way_rate, scaled
+from ._hyperbolic import one_way_rate
 
 __all__ = [
     "Parity",
@@ -432,19 +430,13 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
     barrier-scale normalizer in scaled form,
     2 e^{-x} / sqrt(s + m q / (4 n^2 rho_n^2)) at x = rho_n wL
     (tunnellab._hyperbolic), so it is finite at the zone edge and underflows
-    to 0 instead of overflowing.  Returns (T_mag, phi).
+    to 0 instead of overflowing.  Returns (T_mag, phi), a view of the
+    tunneling-zone solution behind every relativistic time (observables._RelZone).
     """
-    n_sq = np.asarray(n_sq, dtype=float)
-    _check_rel_zone(n_sq, upsilon)
-    rn_sq = rho_n_squared(n_sq, upsilon)
-    rn = np.sqrt(rn_sq)
-    x = rn * wL
-    _, e, _, phi = _evanescent_parts(np.sqrt(n_sq), rn, x, n_sq - rn_sq)
-    s, _, q, m = scaled(x)
-    T_mag = 2.0 * e / np.sqrt(s + m * q / (4.0 * n_sq * rn_sq))
-    if n_sq.ndim:
-        return T_mag, phi
-    return float(T_mag), float(phi)
+    from .observables import _RelZone, _restore   # observables builds on this module
+
+    zone = _RelZone(n_sq, upsilon, wL)
+    return tuple(_restore(part, zone.scalar) for part in zone.transmission())
 
 
 def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:

@@ -11,6 +11,7 @@ time-stepping anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ __all__ = [
 COMPONENT_TAGS = ("incident", "reflected", "alpha", "beta", "transmitted")
 
 _REGION_TOL = 1e-9
-_BLOCK_BUDGET = 1 << 20   # complex values of one FFT block, see _spectral_field
+_BLOCK_BUDGET = 1 << 20   # complex values per block of rows (_spectral_field, _series_fields)
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,12 @@ class SpatialGrid:
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The sample points, computed once per grid and read-only, as every field shares them."""
+        x = np.linspace(self.x_min, self.x_max, self.n_points)
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True)
@@ -355,66 +359,86 @@ def _series_basics(cfg: PhysicalConfig):
     return k0, q0, w, L, u, step
 
 
-def multipeak_term_field(tag: str, n: int, grid: SpatialGrid, t: float,
-                         cfg: PhysicalConfig) -> WaveField:
+def multipeak_term_field(tag: str, n: int, grid: SpatialGrid, t,
+                         cfg: PhysicalConfig) -> WaveField | list[WaveField]:
     """n-th analytic bounce term (n >= 1) of one scattered component.
 
     Built from frozen-coefficient free-Gaussian envelopes with arguments
     shifted by the accumulated intra-barrier path, so each term moves at the
     ballistic speed of its region and successive terms are delayed by one
-    round trip 2 (m/q0) L.
+    round trip 2 (m/q0) L.  `t` is one time or a sequence of times, as in
+    `propagate_component`.
     """
     if n < 1:
         raise ValueError("bounce terms are indexed from 1")
-    _require_region("incident" if tag == "incident" else tag, grid, cfg)
-    k0, q0, w, L, u, step = _series_basics(cfg)
-    xs = grid.x
-    ratio = k0 / q0
-
-    if tag == "incident":
-        values = _free_envelope(xs - cfg.x0, t, cfg) if n == 1 else np.zeros_like(xs, dtype=complex)
-    elif tag == "reflected":
-        if n == 1:
-            values = u * _free_envelope(-xs - cfg.x0, t, cfg)
-        else:
-            j = n - 2
-            pref = (4.0 * k0 * q0 * (q0 - k0) / (k0 + q0) ** 3
-                    * np.exp(-2j * (w * w / q0) * L))
-            values = pref * step ** (2 * j) * _free_envelope(
-                -xs - cfg.x0 + 2.0 * (j + 1) * ratio * L, t, cfg)
-    elif tag == "alpha":
-        j = n - 1
-        pref = 2.0 * k0 / (k0 + q0) * np.exp(-1j * (w * w / q0) * xs)
-        values = pref * step ** (2 * j) * _free_envelope(
-            (xs + 2.0 * j * L) * ratio - cfg.x0, t, cfg)
-    elif tag == "beta":
-        j = n - 1
-        pref = (2.0 * k0 * (q0 - k0) / (k0 + q0) ** 2
-                * np.exp(1j * (w * w / q0) * (xs - 2.0 * L)))
-        values = pref * step ** (2 * j) * _free_envelope(
-            (2.0 * j * L + 2.0 * L - xs) * ratio - cfg.x0, t, cfg)
-    elif tag == "transmitted":
-        j = n - 1
-        pref = (4.0 * k0 * q0 / (k0 + q0) ** 2
-                * np.exp(-1j * (w * w / q0) * L))
-        values = pref * step ** (2 * j) * _free_envelope(
-            xs - cfg.x0 - L + (2.0 * j + 1.0) * ratio * L, t, cfg)
-    else:
-        raise ValueError(f"unknown component tag {tag!r}")
-    return WaveField(grid=grid, values=np.asarray(values, dtype=complex), t=t,
-                     component_tag=f"{tag}:{n}")
+    return _series_fields(tag, (n,), grid, t, cfg, f"{tag}:{n}")
 
 
-def multipeak_partial_sum_field(tag: str, n_terms: int, grid: SpatialGrid, t: float,
-                                cfg: PhysicalConfig) -> WaveField:
-    """Partial sum of the first n_terms analytic bounce terms of one component."""
+def multipeak_partial_sum_field(tag: str, n_terms: int, grid: SpatialGrid, t,
+                                cfg: PhysicalConfig) -> WaveField | list[WaveField]:
+    """Partial sum of the first n_terms analytic bounce terms of one component, at `t` as above."""
     if n_terms < 1:
         raise ValueError("partial sums need at least one term")
-    values = np.zeros(grid.n_points, dtype=complex)
-    for n in range(1, n_terms + 1):
-        values = values + multipeak_term_field(tag, n, grid, t, cfg).values
-    return WaveField(grid=grid, values=values, t=t,
-                     component_tag=f"{tag}:sum{n_terms}")
+    return _series_fields(tag, range(1, n_terms + 1), grid, t, cfg, f"{tag}:sum{n_terms}")
+
+
+def _series_fields(tag: str, terms, grid: SpatialGrid, t, cfg: PhysicalConfig,
+                   label: str) -> WaveField | list[WaveField]:
+    """The sum of the bounce terms `terms` of one component, one field per time.  Blocks of
+    _BLOCK_BUDGET // n_points rows (at least one) bound the arrays of a block, whatever the
+    number of times."""
+    _require_region(tag, grid, cfg)
+    basics = _series_basics(cfg)
+    times, single = _times(t)
+    xs = grid.x
+    values = np.zeros((times.size, xs.size), dtype=complex)
+    rows = max(1, _BLOCK_BUDGET // xs.size)
+    for start in range(0, times.size, rows):
+        for n in terms:
+            values[start:start + rows] += _bounce_term(tag, n, xs, times[start:start + rows],
+                                                       cfg, basics)
+    return _fields(grid, times, single, label, values)
+
+
+def _bounce_term(tag: str, n: int, xs: np.ndarray, times: np.ndarray, cfg: PhysicalConfig,
+                 basics) -> np.ndarray:
+    """The n-th bounce term of one component on xs, one row per time: a weight times an envelope."""
+    k0, q0, w, L, u, step = basics
+    ratio, j = k0 / q0, n - 1
+    if tag == "incident":   # no bounce after the first term: adding 0.0 is adding zeros
+        return _envelope_rows(xs - cfg.x0, times, cfg) if n == 1 else 0.0
+    if tag == "reflected" and n == 1:
+        weight, X = u, -xs - cfg.x0
+    elif tag == "reflected":
+        j = n - 2
+        weight = (4.0 * k0 * q0 * (q0 - k0) / (k0 + q0) ** 3
+                  * np.exp(-2j * (w * w / q0) * L) * step ** (2 * j))
+        X = -xs - cfg.x0 + 2.0 * (j + 1) * ratio * L
+    elif tag == "alpha":
+        weight = 2.0 * k0 / (k0 + q0) * np.exp(-1j * (w * w / q0) * xs) * step ** (2 * j)
+        X = (xs + 2.0 * j * L) * ratio - cfg.x0
+    elif tag == "beta":
+        weight = (2.0 * k0 * (q0 - k0) / (k0 + q0) ** 2
+                  * np.exp(1j * (w * w / q0) * (xs - 2.0 * L)) * step ** (2 * j))
+        X = (2.0 * j * L + 2.0 * L - xs) * ratio - cfg.x0
+    else:   # transmitted
+        weight = (4.0 * k0 * q0 / (k0 + q0) ** 2
+                  * np.exp(-1j * (w * w / q0) * L) * step ** (2 * j))
+        X = xs - cfg.x0 - L + (2.0 * j + 1.0) * ratio * L
+    envelope = _envelope_rows(X, times, cfg)
+    return np.multiply(weight, envelope, out=envelope)
+
+
+def _envelope_rows(X: np.ndarray, times: np.ndarray, cfg: PhysicalConfig) -> np.ndarray:
+    """_free_envelope at each time, one row per time.
+
+    Each row is evaluated as for its time alone: broadcasting over a column of
+    times would make numpy buffer a copy of the whole block in every operation.
+    """
+    rows = np.empty((times.size, X.size), dtype=complex)
+    for row, t in zip(rows, times.tolist()):
+        row[...] = _free_envelope(X, t, cfg)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ spectrum's maximum is a 40-digit root of its logarithmic derivative, and
 its scan bracket comes from the argmax over every point of the scan.
 Emitted tables are checked against a cell-by-cell writer that hands the
 whole JSON mirror to the standard library's encoder, the grid runners of
-``hartman`` and ``symmetric-times`` against per-n and per-quantity loops, and
-``relativistic-times`` against one public call per column.
+``hartman`` and ``symmetric-times`` against per-n and per-quantity loops,
+``relativistic-times`` against one public call per column, and ``multipeak``
+and ``confront`` against one bounce-series call per snapshot.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from tunnellab.lab import ScenarioError, _format_value
+from tunnellab.lab import ScenarioError, _above_barrier_cfg, _format_value, _snapshot_times
 from tunnellab.observables import (
     nr_one_way_rate,
     nr_transmission_mag,
@@ -35,6 +36,12 @@ from tunnellab.observables import (
     symmetric_self_interference,
 )
 from tunnellab.stationary import Parity, relativistic_transmission
+from tunnellab.wavepackets import (
+    SpatialGrid,
+    field_peak,
+    multipeak_partial_sum_field,
+    propagate_component,
+)
 
 
 def transfer_matrix_amplitudes(k: float, kappa_inside: complex, L: float):
@@ -229,3 +236,57 @@ def reference_relativistic_times_rows(config: dict) -> list[tuple]:
                    rel_phase_time(ns, upsilon, wL), rel_dwell(ns, upsilon, wL), *rel_only]
         rows += zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     return rows
+
+
+def reference_multipeak_rows(config: dict) -> list[tuple]:
+    """Rows of both ``multipeak`` tables from one partial-sum call per snapshot and component."""
+    cfg = _above_barrier_cfg(config)
+    q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
+    n_terms, n_x = config["n_terms"], config["n_x"]
+    span = 22.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
+    regions = {
+        "reflected": SpatialGrid(-span, 0.0, n_x),
+        "alpha": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)),
+        "beta": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)),
+        "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x),
+    }
+    rows = []
+    for idx, t in enumerate(_snapshot_times(cfg, config["n_snapshots"])):
+        for tag, grid in regions.items():
+            pk = field_peak(multipeak_partial_sum_field(tag, n_terms, grid, t, cfg))
+            rows.append((idx, t, tag, pk.x, pk.density))
+    return rows + [("one_way_transit", cfg.m * cfg.L / q0),
+                   ("round_trip_delay", 2.0 * cfg.m * cfg.L / q0)]
+
+
+def reference_confront_rows(config: dict) -> list[tuple]:
+    """Rows of both ``confront`` tables from one partial-sum call per snapshot and component.
+
+    The quadrature fields come from one call per component over every
+    snapshot, whose rows equal one-time calls; each sampled cell is read with
+    ``float``.
+    """
+    cfg = _above_barrier_cfg(config)
+    n_terms, n_x = config["n_terms"], config["n_x"]
+    snapshots = _snapshot_times(cfg, config["n_snapshots"])
+    q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
+    span = 20.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
+    grids = {
+        "incident": SpatialGrid(-span, 0.0, n_x),
+        "reflected": SpatialGrid(-span, 0.0, n_x),
+        "alpha": SpatialGrid(0.0, cfg.L, max(51, n_x // 4)),
+        "beta": SpatialGrid(0.0, cfg.L, max(51, n_x // 4)),
+        "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x),
+    }
+    stride = max(1, n_x // 80)
+    numeric = {tag: propagate_component(tag, grid, snapshots, cfg) for tag, grid in grids.items()}
+    summary, fields = [], []
+    for idx, t in enumerate(snapshots):
+        for tag, grid in grids.items():
+            d_ana = multipeak_partial_sum_field(tag, n_terms, grid, t, cfg).density()
+            d_num = numeric[tag][idx].density()
+            summary.append((idx, t, tag, float(np.max(np.abs(d_ana - d_num))),
+                            float(d_num.max())))
+            fields += [(idx, t, tag, float(x), float(da), float(dn))
+                       for x, da, dn in zip(grid.x[::stride], d_ana[::stride], d_num[::stride])]
+    return summary + fields

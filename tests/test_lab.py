@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    reference_confront_rows,
     reference_emit,
     reference_hartman_rows,
+    reference_multipeak_rows,
     reference_relativistic_times_rows,
     reference_symmetric_times_rows,
 )
-from tunnellab import lab, observables, stationary
+from tunnellab import cli, lab, observables, stationary
 from tunnellab.cli import main
 from tunnellab.lab import (
     SCENARIO_NAMES,
@@ -446,8 +448,12 @@ class TestRunScenarios:
             assert row[3] == pytest.approx(1.0, abs=1e-6)
 
 
+_SERIES_SIZES = [{}, {"n_terms": 1, "n_snapshots": 1}, {"n_terms": 1, "n_snapshots": 40},
+                 {"n_terms": 5, "n_snapshots": 1}, {"n_terms": 5, "n_snapshots": 40}]
+
+
 class TestBatchedRunners:
-    """The grid runners emit the rows of the per-n and per-quantity loops."""
+    """The grid runners emit the rows of the per-n, per-quantity and per-snapshot loops."""
 
     @pytest.mark.parametrize("name, overrides, reference", [
         ("hartman", {}, reference_hartman_rows),
@@ -457,16 +463,33 @@ class TestBatchedRunners:
         ("relativistic-times", {}, reference_relativistic_times_rows),
         ("relativistic-times", {"wL": 1.8 * math.pi, "upsilon_values": [0.0, 1.5, 3.0, 6.0, 12.0]},
          reference_relativistic_times_rows),
+        *[("multipeak", sizes, reference_multipeak_rows) for sizes in _SERIES_SIZES],
+        *[("confront", sizes, reference_confront_rows) for sizes in _SERIES_SIZES],
     ], ids=["hartman", "hartman-held-out", "symmetric-times", "symmetric-times-held-out",
-            "relativistic-times", "relativistic-times-held-out"])
+            "relativistic-times", "relativistic-times-held-out",
+            *[f"{name}-{size}" for name in ("multipeak", "confront")
+              for size in ("defaults", "1x1", "1x40", "5x1", "5x40")]])
     def test_rows_equal_the_loops(self, name, overrides, reference):
         spec = parse_config(json.dumps({"config": overrides}), scenario=name)
-        (table,) = run_scenario(spec)
+        rows = [row for table in run_scenario(spec) for row in table.rows]
         expected = reference(spec.config)
-        assert len(table.rows) == len(expected)
+        assert len(rows) == len(expected)
         # repr: exact, and nan equals nan
-        assert [tuple(map(repr, row)) for row in table.rows] == \
+        assert [tuple(map(repr, row)) for row in rows] == \
             [tuple(map(repr, row)) for row in expected]
+
+    @pytest.mark.parametrize("name, calls", [("multipeak", 4), ("confront", 5)])
+    def test_one_series_call_per_component(self, name, calls, monkeypatch):
+        # one call per snapshot and component made 24 and 30 at the defaults
+        tags = []
+
+        def counted(tag, *args, _original=lab.multipeak_partial_sum_field):
+            tags.append(tag)
+            return _original(tag, *args)
+
+        monkeypatch.setattr(lab, "multipeak_partial_sum_field", counted)
+        run_scenario(parse_config("{}", scenario=name))
+        assert len(tags) == len(set(tags)) == calls
 
 
 @pytest.fixture
@@ -475,11 +498,11 @@ def solution_calls(monkeypatch):
     calls = {"scaled": 0, "kg_scatter_coeffs": 0}
     for module, name in ((observables, "scaled"), (stationary, "scaled"),
                          (observables, "kg_scatter_coeffs")):
-        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+        def counted(*args, _original=getattr(module, name, None), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted, raising=False)   # stationary imports no scaled
     return calls
 
 
@@ -489,9 +512,9 @@ class TestOneRelativisticSolution:
     def test_default_run_builds_each_part_once(self, solution_calls):
         (table,) = run_scenario(parse_config("{}", scenario="relativistic-times"))
         assert len(table.rows) == 5 * 101
-        # per upsilon one scaled call in relativistic_transmission and one in the
-        # zone solution; one continuity solution for each of the four upsilon > 0
-        assert solution_calls == {"scaled": 10, "kg_scatter_coeffs": 4}
+        # per upsilon one scaled call, in the zone solution that T_sq and phase also
+        # read; one continuity solution for each of the four upsilon > 0
+        assert solution_calls == {"scaled": 5, "kg_scatter_coeffs": 4}
 
     def test_views_share_the_zone_parts(self, solution_calls):
         zone = observables._RelZone(np.linspace(1.6, 3.4, 7), 5.0, 2.0 * math.pi)
@@ -639,3 +662,16 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "table1", "--config", "/nonexistent/path.json"]) == 4
+
+    def test_successive_calls_start_fresh(self, tmp_path, capsys):
+        # the parser is built once per process; each call reads only its own arguments
+        assert cli._build_parser() is cli._build_parser()
+        for prefix, flags in (("a", ["--json"]), ("b", [])):
+            assert main(["run", "symmetric-times", "--out", str(tmp_path / prefix),
+                         "--no-timestamp", *flags]) == 0
+        assert (tmp_path / "a_symmetric_times.json").exists()
+        assert not (tmp_path / "b_symmetric_times.json").exists()
+        assert main(["run", "symmetric-times", "--out", str(tmp_path / "c"),
+                     "--threads", "0"]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "c_symmetric_times.csv").exists()

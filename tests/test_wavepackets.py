@@ -48,6 +48,13 @@ class TestGrid:
         assert g.spacing == pytest.approx(0.01)
         assert g.x[0] == -1.0 and g.x[-1] == 1.0
 
+    def test_points_are_computed_once_and_read_only(self):
+        g = SpatialGrid(-1.0, 1.0, 201)
+        assert g.x is g.x and not g.x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.x[0] = 0.0
+        assert np.array_equal(g.x, np.linspace(-1.0, 1.0, 201))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SpatialGrid(0.0, 1.0, 1)
@@ -485,6 +492,51 @@ class TestTimeBatches:
         assert peak < 2 * budget * np.dtype(complex).itemsize
         _same_fields(batch[::67], [propagate_component("reflected", grid, t, cfg)
                                    for t in times[::67]])
+
+
+class TestSeriesBatches:
+    """A sequence of times gives the bounce terms and partial sums of one-time calls, exactly."""
+
+    TIMES = (0.0, 0.015, 0.03, 0.09, 0.3)     # 0 to 10 one-way transits m L / q0
+
+    @staticmethod
+    def grid(tag, cfg):
+        return {"alpha": SpatialGrid(0.0, cfg.L, 101), "beta": SpatialGrid(0.0, cfg.L, 101),
+                "transmitted": SpatialGrid(cfg.L, cfg.L + 40.0, 301)}.get(
+                    tag, SpatialGrid(-40.0, 0.0, 301))
+
+    @pytest.mark.parametrize("tag", wavepackets.COMPONENT_TAGS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("series", [multipeak_term_field, multipeak_partial_sum_field],
+                             ids=["term", "partial-sum"])
+    def test_rows_equal_one_time_calls(self, series, n, tag):
+        cfg = scatter_cfg(wa=500.0)
+        grid = self.grid(tag, cfg)
+        batch = series(tag, n, grid, list(self.TIMES), cfg)
+        singles = [series(tag, n, grid, t, cfg) for t in self.TIMES]
+        _same_fields(batch, singles)
+        assert {f.component_tag for f in batch} == {singles[0].component_tag}
+        (first,) = series(tag, n, grid, [0.0], cfg)
+        _same_fields([first], [series(tag, n, grid, 0, cfg)])
+        assert isinstance(singles[0], WaveField) and singles[0].t == 0.0
+
+    def test_memory_does_not_grow_with_the_times(self, monkeypatch):
+        # 13 rows per block; the arrays of 400 times at once peak near 3.9 MB
+        budget = 1 << 12
+        monkeypatch.setattr(wavepackets, "_BLOCK_BUDGET", budget)
+        cfg = scatter_cfg(wa=500.0)
+        grid = self.grid("transmitted", cfg)
+        times = np.linspace(0.0, 0.3, 400)
+        tracemalloc.start()
+        try:
+            batch = multipeak_partial_sum_field("transmitted", 3, grid, times, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = np.dtype(complex).itemsize
+        assert peak < (times.size * grid.n_points + 16 * budget) * itemsize
+        _same_fields(batch[::133], [multipeak_partial_sum_field("transmitted", 3, grid, t, cfg)
+                                    for t in times[::133]])
 
 
 class TestZoneEdgeInteriorPair:
