@@ -4,7 +4,7 @@
                              [--no-timestamp] [--threads N]
     tunnellab list
 
-Exit codes: 0 ok, 2 config error, 3 scenario error, 4 I/O error.
+Exit codes: 0 ok, 2 config error (float failures included), 3 scenario error, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import PhysicalConfig, ZoneError, _in_rel_zone
+from .core import PhysicalConfig, ZoneError, _in_rel_zone, propagating_momentum
 from .stationary import Parity
 from .observables import (
     _IDENTITY_N_QUAD,
@@ -282,9 +282,20 @@ def _above_barrier_cfg(config: dict) -> PhysicalConfig:
 
 
 def _snapshot_times(cfg: PhysicalConfig, n_snapshots: int) -> list[float]:
-    q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
-    unit = cfg.m * cfg.L / q0
+    unit = cfg.m * cfg.L / propagating_momentum(cfg.k0, cfg)
     return [n * unit for n in range(n_snapshots)]
+
+
+def _bounce_regions(cfg: PhysicalConfig, config: dict, pad: float,
+                    interior_min: int) -> dict[str, SpatialGrid]:
+    """Each component's grid: n_x points reaching pad a plus n_terms round trips 2 (k0/q0) L
+    outside the barrier, max(interior_min, n_x // 4) inside."""
+    n_x, q0 = config["n_x"], propagating_momentum(cfg.k0, cfg)
+    span = pad * cfg.a + 2.0 * config["n_terms"] * (cfg.k0 / q0) * cfg.L
+    outer = SpatialGrid(-span, 0.0, n_x)
+    interior = SpatialGrid(0.0, cfg.L, max(interior_min, n_x // 4))
+    return {"incident": outer, "reflected": outer, "alpha": interior, "beta": interior,
+            "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x)}
 
 
 def _run_free_packet(config: dict, sweep: Sweep | None) -> list[ResultTable]:
@@ -336,19 +347,13 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
 
 def _run_multipeak(config: dict, sweep) -> list[ResultTable]:
     cfg = _above_barrier_cfg(config)
-    q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
-    n_terms, n_x = config["n_terms"], config["n_x"]
+    q0 = propagating_momentum(cfg.k0, cfg)
     snapshots = _snapshot_times(cfg, config["n_snapshots"])
-    span = 22.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
-    regions = {
-        "reflected": SpatialGrid(-span, 0.0, n_x),
-        "alpha": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)),
-        "beta": SpatialGrid(0.0, cfg.L, max(101, n_x // 4)),
-        "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x),
-    }
+    regions = _bounce_regions(cfg, config, 22.0, 101)
+    del regions["incident"]   # the incident packet has no bounces to find
     # one series call per component over every snapshot, its fields dropped once read
     found = {tag: [field_peak(fld) for fld in
-                   multipeak_partial_sum_field(tag, n_terms, grid, snapshots, cfg)]
+                   multipeak_partial_sum_field(tag, config["n_terms"], grid, snapshots, cfg)]
              for tag, grid in regions.items()}
     rows = [(idx, t, tag, found[tag][idx].x, found[tag][idx].density)
             for idx, t in enumerate(snapshots) for tag in regions]
@@ -370,16 +375,7 @@ def _run_confront(config: dict, sweep) -> list[ResultTable]:
     cfg = _above_barrier_cfg(config)
     n_terms, n_x = config["n_terms"], config["n_x"]
     snapshots = _snapshot_times(cfg, config["n_snapshots"])
-    q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
-    span = 20.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
-    grids = {
-        "incident": SpatialGrid(-span, 0.0, n_x),
-        "reflected": SpatialGrid(-span, 0.0, n_x),
-        "alpha": SpatialGrid(0.0, cfg.L, max(51, n_x // 4)),
-        "beta": SpatialGrid(0.0, cfg.L, max(51, n_x // 4)),
-        "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x),
-    }
-
+    grids = _bounce_regions(cfg, config, 20.0, 51)
     sample_stride = max(1, n_x // 80)
 
     found = {}
@@ -595,10 +591,11 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> list[ResultTable]:
     if spec.name not in _SCHEMA:
         raise ScenarioError(f"unknown scenario {spec.name!r}; choose one of {', '.join(SCENARIO_NAMES)}")
     try:
-        tables = _SCHEMA[spec.name].run(spec.config, spec.sweep)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            tables = _SCHEMA[spec.name].run(spec.config, spec.sweep)
     except (ConfigError, ScenarioError):
         raise
-    except (ZoneError, ValueError) as exc:
+    except (ZoneError, ValueError, ArithmeticError) as exc:   # no table with inf or NaN cells
         raise ConfigError(f"invalid configuration for scenario {spec.name!r}: {exc}") from exc
     for table in tables:
         prov = {"scenario": spec.name, "version": __version__}

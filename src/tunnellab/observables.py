@@ -26,7 +26,6 @@ from .core import (
     PhysicalConfig,
     ZoneError,
     _check_rel_zone,
-    evanescent_rate,
     rho_n_squared,
 )
 from ._hyperbolic import one_way_rate, scaled
@@ -34,9 +33,11 @@ from .stationary import (
     Parity,
     _check_tunnel_zone,
     _evanescent_parts,
+    _kg_solution,
+    _single_peak_lines,
     above_barrier_phase_derivative,
-    kg_scatter_coeffs,
     symmetric_intra_barrier_coeffs,
+    tunnel_phase_derivative,
 )
 
 __all__ = [
@@ -121,24 +122,13 @@ class SpectralMaximum:
 def naive_above_barrier_times(cfg: PhysicalConfig, x: float) -> NaiveTimes:
     """Peak arrival times at position x under the single-peak reading.
 
-    Physical regions are x <= 0 for incident/reflected, 0 <= x <= L for the
-    intra-barrier pair and x >= L for the transmitted wave; the formulas are
-    returned verbatim for any x because their discontinuities at the
-    interfaces are exactly the point of the corrected bounce decomposition.
+    Each is t_ref + (x - x_ref) / v on its line (stationary._single_peak_lines),
+    returned for any x, though x <= 0 is physical for incident/reflected, [0, L]
+    for the intra-barrier pair and x >= L for transmitted: the discontinuities at
+    the interfaces are exactly the point of the corrected bounce decomposition.
     """
-    k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
-    if not k0 > cfg.w:
-        raise ZoneError(f"naive times need an above-barrier configuration (k0 > w = {cfg.w:g})")
-    q0 = math.sqrt(k0 * k0 - cfg.w ** 2)
-    v_k, v_q = k0 / m, q0 / m
-    dtheta = float(above_barrier_phase_derivative(k0, cfg))
-    return NaiveTimes(
-        incident=(x - x0) / v_k,
-        reflected=-(x + x0 - dtheta) / v_k,
-        alpha=(x - L) / v_q - (x0 - dtheta) / v_k,
-        beta=-(x - L) / v_q - (x0 - dtheta) / v_k,
-        transmitted=(x - x0 - L + dtheta) / v_k,
-    )
+    lines = _single_peak_lines(cfg, "naive times need")
+    return NaiveTimes(**{tag: t_ref + (x - x_ref) / v for tag, (x_ref, t_ref, v) in lines.items()})
 
 
 def reflection_delay(k, cfg: PhysicalConfig):
@@ -173,20 +163,15 @@ def nr_transmission_mag(k, w: float, L: float):
 
 
 def nr_phase_time(k_eval, cfg: PhysicalConfig):
-    """One-way tunneling phase time at momentum k_eval in (0, w).
+    """One-way tunneling phase time (m/k) d theta/dk at momentum k_eval in (0, w).
 
-    t = (2 m L / (k alpha)) [w^4 sinh(a)cosh(a) - (2k^2 - w^2) k^2 a]
-        / [4 k^2 rho^2 + w^4 sinh^2 a],   a = rho L,
-
-    that is (m L / k) times the one-way rate at n = k^2/w^2, n_bar =
-    rho^2/w^2, finite from the barrier-top edge to the deep-opaque regime.
+    That is (m L / k) times the one-way rate at n = k^2/w^2, n_bar = rho^2/w^2
+    (stationary.tunnel_phase_derivative), finite from the barrier-top edge to the
+    deep-opaque regime.
     """
-    (k,), scalar = _as_1d(k_eval)
-    w, L, m = cfg.w, cfg.L, cfg.m
-    _check_tunnel_zone(k, w, "phase time needs")
-    rho_sq = w * w - k * k
-    rate = one_way_rate(k * k / (w * w), rho_sq / (w * w), np.sqrt(rho_sq) * L)
-    return _restore(m * L / k * rate, scalar)
+    k = np.asarray(k_eval, dtype=float)
+    out = (cfg.m / k) * tunnel_phase_derivative(k, cfg)
+    return out if out.ndim else float(out)
 
 
 def nr_opaque_limit_time(k, cfg: PhysicalConfig):
@@ -473,23 +458,22 @@ class _RelZone:
 
     @functools.cached_property
     def continuity(self):
-        """(k, cfg, coefficients) of the m = 1 continuity solution; cfg's k0 need only be valid."""
+        """(k, cfg, rho, coefficients) of the m = 1 continuity solution; any valid k0 in cfg."""
         if self.upsilon <= 0.0:
             raise ZoneError("the relativistic family needs upsilon > 0")
         w = math.sqrt(2.0 * self.upsilon)
         k = np.sqrt(self.n_sq) * w
         cfg = PhysicalConfig(m=1.0, V0=self.upsilon, L=self.wL / w, a=1.0, k0=float(k[0]),
                              dispersion=Dispersion.RELATIVISTIC_KG)
-        return k, cfg, kg_scatter_coeffs(k, cfg)
+        return (k, cfg, *_kg_solution(k, cfg))
 
     def self_interference(self) -> np.ndarray:
-        k, cfg, sc = self.continuity
+        k, cfg, _, sc = self.continuity
         return -sc.R.imag / (k * cfg.L)
 
     def residual(self, n_quad: int) -> np.ndarray:
-        k, cfg, sc = self.continuity
-        L, V0, E = cfg.L, cfg.V0, np.sqrt(k * k + 1.0)
-        rho = evanescent_rate(k, cfg)[:, None]   # the rate the coefficients were built with
+        k, cfg, rho, sc = self.continuity
+        L, V0, E, rho = cfg.L, cfg.V0, np.sqrt(k * k + 1.0), rho[:, None]
         xs, wq = _gauss_legendre(n_quad)
         xs, wq = 0.5 * L * (xs + 1.0), wq * 0.5 * L
         integral = np.empty_like(k)

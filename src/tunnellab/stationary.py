@@ -28,7 +28,6 @@ from .core import (
     PhysicalConfig,
     ZoneError,
     evanescent_rate,
-    propagating_momentum,
 )
 from ._hyperbolic import one_way_rate
 
@@ -134,6 +133,13 @@ def _coeffs(k: np.ndarray, R, T, alpha, beta, theta) -> ScatterCoeffs:
 # one-sided incidence, k above the barrier
 # ---------------------------------------------------------------------------
 
+def _above_momentum(k, w: float, what: str):
+    """q = sqrt(k^2 - w^2) after the k > w check (NaN refused); ``what`` is e.g. "sums need"."""
+    if not np.asarray(k > w).all():
+        raise ZoneError(f"{what} k > w = {w:g}")
+    return np.sqrt(k * k - w * w)
+
+
 def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """Stationary amplitudes for k > w on the barrier [0, L].
 
@@ -143,9 +149,7 @@ def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    if np.any(k <= w):
-        raise ZoneError(f"above-barrier amplitudes need k > w = {w:g}")
-    q = np.sqrt(k * k - w * w)
+    q = _above_momentum(k, w, "above-barrier amplitudes need")
     s, c = np.sin(q * L), np.cos(q * L)
     F = np.hypot(2.0 * k * q * c, (k * k + q * q) * s)
     theta = np.arctan2((k * k + q * q) * s, 2.0 * k * q * c)
@@ -175,13 +179,24 @@ def above_barrier_phase_derivative(k, cfg: PhysicalConfig):
     """
     k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
-    if np.any(k <= w):
-        raise ZoneError(f"above-barrier phase derivative needs k > w = {w:g}")
-    q = np.sqrt(k * k - w * w)
+    q = _above_momentum(k, w, "above-barrier phase derivative needs")
     s, c = np.sin(q * L), np.cos(q * L)
     F2 = 4.0 * k * k * q * q * c * c + (k * k + q * q) ** 2 * s * s
     out = (2.0 / q) * (k * k * q * (k * k + q * q) * L - w ** 4 * s * c) / F2
     return out if out.ndim else float(out)
+
+
+def _single_peak_lines(cfg: PhysicalConfig, what: str) -> dict:
+    """Each component's single-peak line x(t) = x_ref + v (t - t_ref), as (x_ref, t_ref, v):
+    the stationary-phase reading, deliberately uncorrected, fixed by one theta'(k0).  The
+    operand orders keep the per-component formulas' values (docs/DECISIONS.md, D15)."""
+    k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
+    v_k, v_q = k0 / m, float(_above_momentum(k0, cfg.w, what)) / m
+    dtheta = float(above_barrier_phase_derivative(k0, cfg))
+    delay = -(x0 - dtheta) / v_k
+    return {"incident": (x0, 0.0, v_k), "reflected": (-x0 + dtheta, 0.0, -v_k),
+            "alpha": (L, delay, v_q), "beta": (L, delay, -v_q),
+            "transmitted": (x0 + L - dtheta, 0.0, v_k)}
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +204,8 @@ def above_barrier_phase_derivative(k, cfg: PhysicalConfig):
 # ---------------------------------------------------------------------------
 
 def _check_tunnel_zone(k, w: float, what: str) -> None:
-    """ZoneError unless 0 < k < w; ``what`` names the quantity, e.g. "tunneling phase needs"."""
-    if np.any(np.asarray(k) <= 0.0) or np.any(np.asarray(k) >= w):
+    """ZoneError unless 0 < k < w (NaN refused); ``what`` is e.g. "tunneling phase needs"."""
+    if not np.asarray((k > 0.0) & (k < w)).all():
         raise ZoneError(f"{what} 0 < k < w = {w:g}")
 
 
@@ -297,11 +312,8 @@ def multipeak_coeffs(k: float, cfg: PhysicalConfig, eps: float = 1e-12) -> Multi
     """
     if eps <= 0.0:
         raise ValueError("tail tolerance eps must be positive")
-    w, L = cfg.w, cfg.L
-    if not k > w:
-        raise ZoneError(f"multipeak decomposition needs k > w = {w:g}")
-    q = float(propagating_momentum(k, cfg))
-    r, R1, a1, b1, T1, R2 = _bounce_first_terms(k, q, L)
+    q = float(_above_momentum(k, cfg.w, "multipeak decomposition needs"))
+    r, R1, a1, b1, T1, R2 = _bounce_first_terms(k, q, cfg.L)
     mod_r = abs(r)
     first = max(abs(R1), abs(R2), abs(a1), abs(b1), abs(T1))
     if mod_r == 0.0:
@@ -327,11 +339,8 @@ def multipeak_coeffs(k: float, cfg: PhysicalConfig, eps: float = 1e-12) -> Multi
 
 def multipeak_sums(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """Closed geometric sums of the bounce series; equals the one-shot amplitudes."""
-    k = np.asarray(k, dtype=float)
-    w, L = cfg.w, cfg.L
-    if np.any(k <= w):
-        raise ZoneError(f"multipeak sums need k > w = {w:g}")
-    q = np.sqrt(k * k - w * w)
+    k, L = np.asarray(k, dtype=float), cfg.L
+    q = _above_momentum(k, cfg.w, "multipeak sums need")
     r, R1, a1, b1, T1, R2 = _bounce_first_terms(k, q, L)
     geo = 1.0 / (1.0 - r)
     R = R1 + R2 * geo
@@ -449,6 +458,11 @@ def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     the barrier-scale normalizer w^2 where the continuity solution has
     k^2 + rho^2 = V0 (2E - V0).
     """
+    return _kg_solution(k, cfg)[1]
+
+
+def _kg_solution(k, cfg: PhysicalConfig):
+    """(rho, coefficients) of :func:`kg_scatter_coeffs`: the rate its interior field decays at."""
     if cfg.dispersion is not Dispersion.RELATIVISTIC_KG:
         raise ZoneError("kg_scatter_coeffs needs a relativistic configuration")
     k = np.asarray(k, dtype=float)
@@ -456,4 +470,4 @@ def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     if np.any(rho == 0.0):
         raise ZoneError("exact coefficients are singular at the zone edge rho = 0")
     parts = _evanescent_parts(k, rho, rho * cfg.L, k * k - rho * rho)
-    return _evanescent_coeffs(k, rho, cfg.L, k * k + rho * rho, parts)
+    return rho, _evanescent_coeffs(k, rho, cfg.L, k * k + rho * rho, parts)

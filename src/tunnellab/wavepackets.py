@@ -24,7 +24,7 @@ from .core import (
     ZoneError,
     momentum_window,
 )
-from .stationary import _tunnel_parts, above_barrier_coeffs, above_barrier_phase_derivative
+from .stationary import _above_momentum, _single_peak_lines, _tunnel_parts, above_barrier_coeffs
 
 __all__ = [
     "SpatialGrid",
@@ -351,9 +351,7 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
 
 def _series_basics(cfg: PhysicalConfig):
     k0, w, L = cfg.k0, cfg.w, cfg.L
-    if not k0 > w:
-        raise ZoneError(f"the bounce series needs k0 > w = {w:g}")
-    q0 = math.sqrt(k0 * k0 - w * w)
+    q0 = float(_above_momentum(k0, w, "the bounce series needs"))
     u = (k0 - q0) / (k0 + q0)
     step = u * np.exp(-1j * (w * w / q0) * L)   # per-half-bounce factor; terms carry step^(2n)
     return k0, q0, w, L, u, step
@@ -454,13 +452,10 @@ def series_validity(cfg: PhysicalConfig) -> ValidityReport:
     spread of the packet: (k0/q0) (L/a) < pi.  margin is pi minus that
     product (always pi at L = 0).
     """
-    k0, w, L = cfg.k0, cfg.w, cfg.L
-    if not k0 > w:
-        raise ZoneError(f"series validity applies above the barrier (k0 > w = {w:g})")
-    if L == 0.0:
+    q0 = float(_above_momentum(cfg.k0, cfg.w, "series validity needs"))
+    if cfg.L == 0.0:
         return ValidityReport(valid=True, margin=math.pi)
-    q0 = math.sqrt(k0 * k0 - w * w)
-    spread = (k0 / q0) * (L / cfg.a)
+    spread = (cfg.k0 / q0) * (cfg.L / cfg.a)
     return ValidityReport(valid=spread < math.pi, margin=math.pi - spread)
 
 
@@ -478,26 +473,13 @@ def spm_peak_prediction(tag: str, t: float, cfg: PhysicalConfig,
     extra spectral phase and shifts every prediction by its negative, the
     space-translation rule of the free packet.
     """
-    k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
-    v_k = k0 / m
-    if tag == "incident":
-        x = x0 + v_k * t
+    if tag == "incident":   # needs no scattering solution
+        x = cfg.x0 + cfg.k0 / cfg.m * t
+    elif tag in COMPONENT_TAGS:
+        x_ref, t_ref, v = _single_peak_lines(cfg, "naive predictions need")[tag]
+        x = x_ref + v * (t - t_ref)
     else:
-        q0 = math.sqrt(k0 * k0 - cfg.w ** 2) if k0 > cfg.w else None
-        if q0 is None:
-            raise ZoneError("naive predictions for scattered components need k0 > w")
-        v_q = q0 / m
-        dtheta = float(above_barrier_phase_derivative(k0, cfg))
-        if tag == "reflected":
-            x = -x0 + dtheta - v_k * t
-        elif tag == "alpha":
-            x = L + v_q * (t + (x0 - dtheta) / v_k)
-        elif tag == "beta":
-            x = L - v_q * (t + (x0 - dtheta) / v_k)
-        elif tag == "transmitted":
-            x = x0 + L - dtheta + v_k * t
-        else:
-            raise ValueError(f"unknown component tag {tag!r}")
+        raise ValueError(f"unknown component tag {tag!r}")
     if spectral_phase_slope is not None:
         x -= spectral_phase_slope
     return x

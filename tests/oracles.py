@@ -10,7 +10,9 @@ Emitted tables are checked against a cell-by-cell writer that hands the
 whole JSON mirror to the standard library's encoder, the grid runners of
 ``hartman`` and ``symmetric-times`` against per-n and per-quantity loops,
 ``relativistic-times`` against one public call per column, and ``multipeak``
-and ``confront`` against one bounce-series call per snapshot.
+and ``confront`` against one bounce-series call per snapshot.  The
+single-peak readings are checked against their formulas written out per
+component, as they were before they became views of one table of lines.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
+from tunnellab.core import ZoneError
 from tunnellab.lab import ScenarioError, _above_barrier_cfg, _format_value, _snapshot_times
 from tunnellab.observables import (
+    NaiveTimes,
     nr_one_way_rate,
     nr_transmission_mag,
     rel_dwell,
@@ -35,7 +39,7 @@ from tunnellab.observables import (
     symmetric_phase_time,
     symmetric_self_interference,
 )
-from tunnellab.stationary import Parity, relativistic_transmission
+from tunnellab.stationary import Parity, above_barrier_phase_derivative, relativistic_transmission
 from tunnellab.wavepackets import (
     SpatialGrid,
     field_peak,
@@ -71,6 +75,50 @@ def transfer_matrix_amplitudes(k: float, kappa_inside: complex, L: float):
         T = m[0, 0] + m[0, 1] * R
         inner = interface(k, kappa, 0) * mpmath.matrix([1, R])
         return complex(R), complex(T), complex(inner[0]), complex(inner[1])
+
+
+def reference_naive_times(cfg, x: float) -> NaiveTimes:
+    """The single-peak arrival times at x, one formula per component."""
+    k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
+    if not k0 > cfg.w:
+        raise ZoneError(f"naive times need an above-barrier configuration (k0 > w = {cfg.w:g})")
+    q0 = math.sqrt(k0 * k0 - cfg.w ** 2)
+    v_k, v_q = k0 / m, q0 / m
+    dtheta = float(above_barrier_phase_derivative(k0, cfg))
+    return NaiveTimes(
+        incident=(x - x0) / v_k,
+        reflected=-(x + x0 - dtheta) / v_k,
+        alpha=(x - L) / v_q - (x0 - dtheta) / v_k,
+        beta=-(x - L) / v_q - (x0 - dtheta) / v_k,
+        transmitted=(x - x0 - L + dtheta) / v_k,
+    )
+
+
+def reference_spm_peak(tag: str, t: float, cfg, spectral_phase_slope: float | None = None) -> float:
+    """The single-peak position of one component at t, one formula per component."""
+    k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
+    v_k = k0 / m
+    if tag == "incident":
+        x = x0 + v_k * t
+    else:
+        q0 = math.sqrt(k0 * k0 - cfg.w ** 2) if k0 > cfg.w else None
+        if q0 is None:
+            raise ZoneError("naive predictions for scattered components need k0 > w")
+        v_q = q0 / m
+        dtheta = float(above_barrier_phase_derivative(k0, cfg))
+        if tag == "reflected":
+            x = -x0 + dtheta - v_k * t
+        elif tag == "alpha":
+            x = L + v_q * (t + (x0 - dtheta) / v_k)
+        elif tag == "beta":
+            x = L - v_q * (t + (x0 - dtheta) / v_k)
+        elif tag == "transmitted":
+            x = x0 + L - dtheta + v_k * t
+        else:
+            raise ValueError(f"unknown component tag {tag!r}")
+    if spectral_phase_slope is not None:
+        x -= spectral_phase_slope
+    return x
 
 
 def central_difference(fn, x: float, h: float) -> float:

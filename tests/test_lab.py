@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from oracles import (
     reference_relativistic_times_rows,
     reference_symmetric_times_rows,
 )
+import tunnellab
 from tunnellab import cli, lab, observables, stationary
 from tunnellab.cli import main
 from tunnellab.lab import (
@@ -494,15 +499,18 @@ class TestBatchedRunners:
 
 @pytest.fixture
 def solution_calls(monkeypatch):
-    """Counts the scaled calls of observables and stationary and the kg_scatter_coeffs calls."""
-    calls = {"scaled": 0, "kg_scatter_coeffs": 0}
+    """Counts the scaled calls of observables and stationary, the continuity solutions
+    (stationary._kg_solution, behind kg_scatter_coeffs) and the evanescent_rate calls."""
+    calls = {"scaled": 0, "_kg_solution": 0, "evanescent_rate": 0}
     for module, name in ((observables, "scaled"), (stationary, "scaled"),
-                         (observables, "kg_scatter_coeffs")):
+                         (observables, "_kg_solution"), (observables, "evanescent_rate"),
+                         (stationary, "evanescent_rate")):
         def counted(*args, _original=getattr(module, name, None), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted, raising=False)   # stationary imports no scaled
+        # stationary imports no scaled, observables no evanescent_rate
+        monkeypatch.setattr(module, name, counted, raising=False)
     return calls
 
 
@@ -513,15 +521,16 @@ class TestOneRelativisticSolution:
         (table,) = run_scenario(parse_config("{}", scenario="relativistic-times"))
         assert len(table.rows) == 5 * 101
         # per upsilon one scaled call, in the zone solution that T_sq and phase also
-        # read; one continuity solution for each of the four upsilon > 0
-        assert solution_calls == {"scaled": 5, "kg_scatter_coeffs": 4}
+        # read; one continuity solution for each of the four upsilon > 0, whose rho the
+        # identity residual reads again (it formed rho a second time: 8 calls)
+        assert solution_calls == {"scaled": 5, "_kg_solution": 4, "evanescent_rate": 4}
 
     def test_views_share_the_zone_parts(self, solution_calls):
         zone = observables._RelZone(np.linspace(1.6, 3.4, 7), 5.0, 2.0 * math.pi)
         for _ in range(2):
             zone.phase_time, zone.dwell(continuity=True), zone.self_interference()
             zone.residual(40)
-        assert solution_calls == {"scaled": 1, "kg_scatter_coeffs": 1}
+        assert solution_calls == {"scaled": 1, "_kg_solution": 1, "evanescent_rate": 1}
 
 
 class TestEmission:
@@ -662,6 +671,38 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "table1", "--config", "/nonexistent/path.json"]) == 4
+
+    # measured before float errors were raised: a ZeroDivisionError or OverflowError
+    # traceback (exit 1), nan norms or all-zero densities (exit 0)
+    @pytest.mark.parametrize("scenario, overrides", [
+        ("above-barrier-naive", {"wa": 1e-300}), ("multipeak", {"wa": 1e-300}),
+        ("multipeak", {"k0_over_w": 1e300}), ("free-packet", {"t_max": 1e300}),
+        ("multipeak", {"L_over_a": 1e300})],
+        ids=["naive-tiny-wa", "multipeak-tiny-wa", "multipeak-huge-k0", "free-packet-huge-t",
+             "multipeak-huge-L"])
+    def test_arithmetic_failure_exits_2(self, scenario, overrides, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"config": overrides}))
+        code = main(["run", scenario, "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--no-timestamp"])
+        assert code == 2
+        assert f"invalid configuration for scenario {scenario!r}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    def test_arithmetic_failure_prints_no_traceback(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"config": {"wa": 1e-300}}')
+        src = str(Path(tunnellab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "tunnellab.cli", "run", "multipeak", "--config", str(config),
+             "--out", str(tmp_path / "out"), "--no-timestamp"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "invalid configuration for scenario 'multipeak'" in done.stderr
+        assert list(tmp_path.glob("out*")) == []
 
     def test_successive_calls_start_fresh(self, tmp_path, capsys):
         # the parser is built once per process; each call reads only its own arguments

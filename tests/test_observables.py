@@ -2,20 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, filtered_spectrum_argmax, full_scan_index
+from oracles import (
+    central_difference,
+    filtered_spectrum_argmax,
+    full_scan_index,
+    reference_naive_times,
+    reference_spm_peak,
+)
 
 from tunnellab import observables
 from tunnellab.core import PhysicalConfig, ZoneError, rho_n_squared
 from tunnellab.stationary import (
     Parity,
+    above_barrier_phase_derivative,
     relativistic_transmission,
     tunnel_amplitude_nr,
     tunnel_phase_derivative,
 )
 from tunnellab.lab import scenario_defaults
+from tunnellab.wavepackets import COMPONENT_TAGS, spm_peak_prediction
 from tunnellab.observables import (
     SpectralMaximum,
     barrier_top_time,
@@ -100,6 +108,54 @@ class TestNaiveTimes:
     def test_zone_error(self):
         with pytest.raises(ZoneError):
             naive_above_barrier_times(tunnel_cfg(), 0.0)
+
+
+_ABOVE_CFGS = st.builds(
+    lambda w, ratio, L, m, x0: PhysicalConfig.above_barrier(
+        m=m, V0=w * w / (2.0 * m), L=L, a=1.0, k0=ratio * w, x0=x0),
+    st.floats(0.05, 1e4), st.floats(1.0 + 1e-6, 20.0), st.floats(1e-3, 50.0),
+    st.floats(0.1, 10.0), st.floats(-100.0, 100.0))
+
+
+class TestSinglePeakLines:
+    """naive_above_barrier_times and spm_peak_prediction read one table of lines and give
+    the numbers of the per-component formulas (oracles.reference_*)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_ABOVE_CFGS, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+           st.one_of(st.none(), st.floats(-10.0, 10.0)))
+    @example(above_cfg(w=12.457, L=1.0, k0=1.5 * 12.457), 3.0, 0.7, None)   # w ** 2 != w * w
+    def test_views_equal_the_formulas(self, cfg, t, x, slope):
+        # The formulas squared w with C pow, which misrounds about one square in 1200;
+        # the one momentum multiplies, so there q0 moves by an ulp and the alpha and beta
+        # lines with it.  The formulas' reflected and transmitted times also add x to x0
+        # before theta', where a line adds x0 to theta' first; at x = 0 that is the same sum.
+        v_k, v_q = cfg.k0 / cfg.m, math.sqrt(cfg.k0 ** 2 - cfg.w ** 2) / cfg.m
+        dtheta = float(above_barrier_phase_derivative(cfg.k0, cfg))
+        delay = abs(cfg.x0 - dtheta) / v_k
+        span = abs(cfg.x0) + dtheta + cfg.L + abs(x) + (v_k + v_q) * (abs(t) + delay)
+        same_q0 = cfg.w ** 2 == cfg.w * cfg.w
+        times, at_0 = naive_above_barrier_times(cfg, x), naive_above_barrier_times(cfg, 0.0)
+        ref_times, ref_0 = reference_naive_times(cfg, x), reference_naive_times(cfg, 0.0)
+        for tag in COMPONENT_TAGS:
+            exact = same_q0 or tag not in ("alpha", "beta")
+            pairs = [(spm_peak_prediction(tag, t, cfg, slope),
+                      reference_spm_peak(tag, t, cfg, slope), span + abs(slope or 0.0)),
+                     (getattr(at_0, tag), getattr(ref_0, tag), span / min(v_k, v_q)),
+                     (getattr(times, tag), getattr(ref_times, tag), span / min(v_k, v_q))]
+            for i, (got, want, scale) in enumerate(pairs):
+                if exact and (i < 2 or tag not in ("reflected", "transmitted")):
+                    assert got == want, (tag, i)
+                else:   # a few roundings of the terms apart
+                    assert abs(got - want) <= 4.0 * np.finfo(float).eps * scale, (tag, i)
+
+    def test_incident_line_needs_no_scattering_solution(self):
+        cfg = tunnel_cfg()
+        assert spm_peak_prediction("incident", 2.0, cfg) == reference_spm_peak("incident", 2.0, cfg)
+        with pytest.raises(ZoneError):
+            spm_peak_prediction("reflected", 2.0, cfg)
+        with pytest.raises(ValueError, match="unknown component tag"):
+            spm_peak_prediction("sideways", 2.0, above_cfg())
 
 
 class TestNrPhaseTime:

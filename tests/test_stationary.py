@@ -134,6 +134,20 @@ class TestAboveBarrierPhaseDerivative:
             2.0 * k * k * cfg.L / (k * k + q * q), rel=1e-12)
 
 
+class TestMomentumChecks:
+    """One k > w check before q, one 0 < k < w check before rho; both refuse NaN."""
+
+    @pytest.mark.parametrize("amplitude, inside", [
+        (above_barrier_coeffs, 1.5), (above_barrier_phase_derivative, 1.5),
+        (multipeak_sums, 1.5), (tunnel_amplitude_nr, 0.5)])
+    def test_nan_momentum_is_refused(self, amplitude, inside):
+        cfg = above_cfg(w=1.0)
+        amplitude(np.array([inside, inside]), cfg)   # inside the zone: accepted
+        for k in (math.nan, np.array([inside, math.nan])):
+            with pytest.raises(ZoneError):
+                amplitude(k, cfg)
+
+
 class TestTunnelAmplitude:
     def test_zero_width(self):
         cfg = tunnel_cfg(L=0.0)
