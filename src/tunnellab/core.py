@@ -22,18 +22,13 @@ __all__ = [
     "PhysicalConfig",
     "DimensionlessParams",
     "GaussianSpectrum",
-    "ChannelMomentum",
     "GAUSS_WINDOW_HALFWIDTH",
     "energy",
     "group_velocity",
-    "nr_zone",
     "kg_zone",
-    "channel_momenta",
-    "propagating_momentum",
     "evanescent_rate",
     "rho_n_squared",
     "to_dimensionless",
-    "from_dimensionless",
     "classical_traversal_time",
     "momentum_window",
 ]
@@ -133,18 +128,6 @@ def group_velocity(k, cfg: PhysicalConfig):
     return out if out.ndim else float(out)
 
 
-def nr_zone(k: float, cfg: PhysicalConfig) -> str:
-    """Non-relativistic zone of a momentum: 'tunneling', 'boundary' or 'above'."""
-    if k <= 0.0:
-        raise ValueError("zone classification needs k > 0")
-    w = cfg.w
-    if k < w:
-        return "tunneling"
-    if k > w:
-        return "above"
-    return "boundary"
-
-
 def kg_zone(k: float, cfg: PhysicalConfig) -> str:
     """Relativistic zone by incident energy: 'klein', 'tunneling', 'above' or a boundary."""
     E = float(energy(k, cfg))
@@ -158,65 +141,24 @@ def kg_zone(k: float, cfg: PhysicalConfig) -> str:
     return "tunneling"
 
 
-@dataclass(frozen=True)
-class ChannelMomentum:
-    """Intra-barrier channel: a real momentum q or an evanescent rate rho."""
-
-    kind: str   # "propagating" or "evanescent"
-    value: float
-
-
-def propagating_momentum(k, cfg: PhysicalConfig):
-    """Real intra-barrier momentum q = sqrt(k^2 - w^2) for k above the barrier."""
-    k = np.asarray(k, dtype=float)
-    w = cfg.w
-    if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
-        raise ZoneError("propagating intra-barrier momentum is a non-relativistic quantity")
-    if np.any(k < w):
-        raise ZoneError(f"q is real only above the barrier: valid interval is [w, inf) with w = {w:g}")
-    out = np.sqrt(k * k - w * w)
-    return out if out.ndim else float(out)
-
-
 def evanescent_rate(k, cfg: PhysicalConfig):
-    """Evanescent decay rate rho inside the barrier.
+    """Klein-Gordon evanescent decay rate rho = sqrt(m^2 - (E - V0)^2) for |E - V0| <= m.
 
-    Non-relativistic: rho = sqrt(w^2 - k^2) for 0 < k <= w.
-    Relativistic:     rho = sqrt(m^2 - (E - V0)^2) for |E - V0| <= m, formed as
-    sqrt((V0 - d)(2m + d - V0)) with d = E - m = k^2/(E + m), which does not
-    cancel when E and V0 + m are both close to m.
+    Formed as sqrt((V0 - d)(2m + d - V0)) with d = E - m = k^2/(E + m), which
+    does not cancel when E and V0 + m are both close to m.  NaN is refused.
     """
+    if cfg.dispersion is Dispersion.NONRELATIVISTIC:
+        raise ZoneError("evanescent_rate needs a relativistic configuration")
     k = np.asarray(k, dtype=float)
-    if cfg.dispersion is Dispersion.NONRELATIVISTIC:
-        w = cfg.w
-        if np.any(k > w):
-            raise ZoneError(f"rho is real only in the tunneling zone: valid interval is (0, w] with w = {w:g}")
-        out = np.sqrt(w * w - k * k)
-    else:
-        d = k * k / (np.asarray(energy(k, cfg), dtype=float) + cfg.m)
-        arg = (cfg.V0 - d) * (2.0 * cfg.m + d - cfg.V0)
-        if np.any(arg < 0.0):
-            raise ZoneError(
-                "rho is real only in the relativistic tunneling zone |E - V0| <= m "
-                f"(E in [{cfg.V0 - cfg.m:g}, {cfg.V0 + cfg.m:g}]); outside lie the Klein "
-                "zone (below) and the above-barrier zone (above)")
-        out = np.sqrt(arg)
+    d = k * k / (np.asarray(energy(k, cfg), dtype=float) + cfg.m)
+    arg = (cfg.V0 - d) * (2.0 * cfg.m + d - cfg.V0)
+    if not (arg >= 0.0).all():
+        raise ZoneError(
+            "rho is real only in the relativistic tunneling zone |E - V0| <= m "
+            f"(E in [{cfg.V0 - cfg.m:g}, {cfg.V0 + cfg.m:g}]); outside lie the Klein "
+            "zone (below) and the above-barrier zone (above)")
+    out = np.sqrt(arg)
     return out if out.ndim else float(out)
-
-
-def channel_momenta(k: float, cfg: PhysicalConfig) -> ChannelMomentum:
-    """Classify momentum k and return the matching intra-barrier channel quantity."""
-    if cfg.dispersion is Dispersion.NONRELATIVISTIC:
-        zone = nr_zone(k, cfg)
-        if zone == "above":
-            return ChannelMomentum("propagating", propagating_momentum(k, cfg))
-        return ChannelMomentum("evanescent", evanescent_rate(k, cfg))
-    zone = kg_zone(k, cfg)
-    if zone in ("tunneling", "boundary"):
-        return ChannelMomentum("evanescent", evanescent_rate(k, cfg))
-    raise ZoneError(
-        f"momentum k = {k:g} lies in the relativistic '{zone}' zone, which has no "
-        "evanescent channel; the tunneling zone is |E - V0| < m")
 
 
 def rho_n_squared(n_sq, upsilon):
@@ -276,7 +218,7 @@ def to_dimensionless(cfg: PhysicalConfig) -> DimensionlessParams:
     non-relativistic one, which is the upsilon -> 0 member of the same family.
     """
     w = cfg.w
-    n_sq = cfg.k0 ** 2 / w ** 2
+    n_sq = cfg.k0 * cfg.k0 / (w * w)
     upsilon = cfg.V0 / cfg.m if cfg.dispersion is Dispersion.RELATIVISTIC_KG else 0.0
     wL = w * cfg.L
     alpha = wL * math.sqrt(1.0 - n_sq) if n_sq < 1.0 else None
@@ -284,23 +226,6 @@ def to_dimensionless(cfg: PhysicalConfig) -> DimensionlessParams:
     rho_n = math.sqrt(rn_sq) if rn_sq >= 0.0 else None
     return DimensionlessParams(n_sq=n_sq, upsilon=upsilon, wL=wL,
                                alpha_opacity=alpha, rho_n=rho_n)
-
-
-def from_dimensionless(params: DimensionlessParams, *, m: float, L: float,
-                       a: float, x0: float = 0.0,
-                       dispersion: Dispersion = Dispersion.NONRELATIVISTIC,
-                       ) -> PhysicalConfig:
-    """Rebuild a configuration from dimensionless parameters.
-
-    The dimensionless triple fixes only ratios; the mass m and the barrier
-    width L anchor the absolute scales (w = wL/L requires L > 0).
-    """
-    if L <= 0.0:
-        raise ValueError("reconstruction needs L > 0 to recover the momentum scale")
-    w = params.wL / L
-    V0 = w * w / (2.0 * m)
-    k0 = math.sqrt(params.n_sq) * w
-    return PhysicalConfig(m=m, V0=V0, L=L, a=a, k0=k0, x0=x0, dispersion=dispersion)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import PhysicalConfig, ZoneError, _in_rel_zone, propagating_momentum
-from .stationary import Parity
+from .core import PhysicalConfig, ZoneError, _in_rel_zone
+from .stationary import Parity, _above_momentum
 from .observables import (
     _IDENTITY_N_QUAD,
     _KMAX_N_SCAN,
@@ -271,26 +271,28 @@ def _zone_bounds(upsilon: float, margin: float) -> tuple[float, float]:
     return lower + margin, upper - margin
 
 
-def _above_barrier_cfg(config: dict) -> PhysicalConfig:
+def _above_barrier_cfg(config: dict) -> tuple[PhysicalConfig, float]:
+    """The above-barrier configuration of a scenario and its q0 = sqrt(k0^2 - w^2)."""
     a = 1.0
     w = config["wa"] / a
     k0 = config["k0_over_w"] * w
     L = config["L_over_a"] * a
     x0 = -k0 * L / (2.0 * math.sqrt(k0 * k0 - w * w))
-    return PhysicalConfig.above_barrier(m=1.0 / (a * a), V0=w * w * a * a / 2.0,
-                                        L=L, a=a, k0=k0, x0=x0)
+    cfg = PhysicalConfig.above_barrier(m=1.0 / (a * a), V0=w * w * a * a / 2.0,
+                                       L=L, a=a, k0=k0, x0=x0)
+    return cfg, float(_above_momentum(cfg.k0, cfg.w, "the bounce layout needs"))
 
 
-def _snapshot_times(cfg: PhysicalConfig, n_snapshots: int) -> list[float]:
-    unit = cfg.m * cfg.L / propagating_momentum(cfg.k0, cfg)
+def _snapshot_times(cfg: PhysicalConfig, q0: float, n_snapshots: int) -> list[float]:
+    unit = cfg.m * cfg.L / q0
     return [n * unit for n in range(n_snapshots)]
 
 
-def _bounce_regions(cfg: PhysicalConfig, config: dict, pad: float,
+def _bounce_regions(cfg: PhysicalConfig, q0: float, config: dict, pad: float,
                     interior_min: int) -> dict[str, SpatialGrid]:
     """Each component's grid: n_x points reaching pad a plus n_terms round trips 2 (k0/q0) L
     outside the barrier, max(interior_min, n_x // 4) inside."""
-    n_x, q0 = config["n_x"], propagating_momentum(cfg.k0, cfg)
+    n_x = config["n_x"]
     span = pad * cfg.a + 2.0 * config["n_terms"] * (cfg.k0 / q0) * cfg.L
     outer = SpatialGrid(-span, 0.0, n_x)
     interior = SpatialGrid(0.0, cfg.L, max(interior_min, n_x // 4))
@@ -322,7 +324,7 @@ def _run_free_packet(config: dict, sweep: Sweep | None) -> list[ResultTable]:
 
 
 def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
-    cfg = _above_barrier_cfg(config)
+    cfg, q0 = _above_barrier_cfg(config)
     times_at = naive_above_barrier_times(cfg, 0.0)
     times_at_L = naive_above_barrier_times(cfg, cfg.L)
     summary = ResultTable(
@@ -331,7 +333,7 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
         rows=[(x, t.incident, t.reflected, t.alpha, t.beta, t.transmitted)
               for x, t in ((0.0, times_at), (cfg.L, times_at_L))],
     )
-    snapshots = _snapshot_times(cfg, config["n_snapshots"])
+    snapshots = _snapshot_times(cfg, q0, config["n_snapshots"])
     rows = []
     for idx, t in enumerate(snapshots):
         for tag in ("incident", "reflected", "alpha", "beta", "transmitted"):
@@ -346,10 +348,9 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
 
 
 def _run_multipeak(config: dict, sweep) -> list[ResultTable]:
-    cfg = _above_barrier_cfg(config)
-    q0 = propagating_momentum(cfg.k0, cfg)
-    snapshots = _snapshot_times(cfg, config["n_snapshots"])
-    regions = _bounce_regions(cfg, config, 22.0, 101)
+    cfg, q0 = _above_barrier_cfg(config)
+    snapshots = _snapshot_times(cfg, q0, config["n_snapshots"])
+    regions = _bounce_regions(cfg, q0, config, 22.0, 101)
     del regions["incident"]   # the incident packet has no bounces to find
     # one series call per component over every snapshot, its fields dropped once read
     found = {tag: [field_peak(fld) for fld in
@@ -372,10 +373,10 @@ def _run_multipeak(config: dict, sweep) -> list[ResultTable]:
 
 
 def _run_confront(config: dict, sweep) -> list[ResultTable]:
-    cfg = _above_barrier_cfg(config)
+    cfg, q0 = _above_barrier_cfg(config)
     n_terms, n_x = config["n_terms"], config["n_x"]
-    snapshots = _snapshot_times(cfg, config["n_snapshots"])
-    grids = _bounce_regions(cfg, config, 20.0, 51)
+    snapshots = _snapshot_times(cfg, q0, config["n_snapshots"])
+    grids = _bounce_regions(cfg, q0, config, 20.0, 51)
     sample_stride = max(1, n_x // 80)
 
     found = {}

@@ -35,7 +35,6 @@ from .stationary import (
     _evanescent_parts,
     _kg_solution,
     _single_peak_lines,
-    above_barrier_phase_derivative,
     symmetric_intra_barrier_coeffs,
     tunnel_phase_derivative,
 )
@@ -44,16 +43,13 @@ __all__ = [
     "NaiveTimes",
     "SpectralMaximum",
     "naive_above_barrier_times",
-    "reflection_delay",
     "nr_transmission_mag",
     "nr_phase_time",
     "nr_opaque_limit_time",
     "nr_one_way_rate",
     "phase_time_shape",
-    "barrier_top_time",
     "kmax_find",
     "distortion_flag",
-    "distortion_threshold_length",
     "symmetric_phase_time",
     "symmetric_dwell",
     "symmetric_self_interference",
@@ -131,17 +127,6 @@ def naive_above_barrier_times(cfg: PhysicalConfig, x: float) -> NaiveTimes:
     return NaiveTimes(**{tag: t_ref + (x - x_ref) / v for tag, (x_ref, t_ref, v) in lines.items()})
 
 
-def reflection_delay(k, cfg: PhysicalConfig):
-    """Group delay of the reflected peak, d theta/dE = (m/k) d theta/dk.
-
-    At a transmission resonance this is (mL/q)(k^2+q^2)/(2kq); at
-    antiresonance (mL/q)(2kq)/(k^2+q^2).
-    """
-    k = np.asarray(k, dtype=float)
-    out = (cfg.m / k) * above_barrier_phase_derivative(k, cfg)
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # non-relativistic one-way tunneling times
 # ---------------------------------------------------------------------------
@@ -202,17 +187,6 @@ def phase_time_shape(alpha):
     return _restore(alpha * p / q, scalar)
 
 
-def barrier_top_time(alpha, cfg: PhysicalConfig):
-    """Transmission time at the barrier top, (2 m L / (w alpha)) G(alpha) = (2 m L / w) p/q.
-
-    Linear in L with slope 4m/(3w) as alpha -> 0; approaches
-    2m/(w sqrt(w^2 - k^2)) deep in the opaque regime.
-    """
-    (alpha,), scalar = _as_1d(alpha)
-    _, p, q, _ = scaled(alpha)
-    return _restore(2.0 * cfg.m * cfg.L / cfg.w * p / q, scalar)
-
-
 # ---------------------------------------------------------------------------
 # filtered-spectrum maximum and distortion criterion
 # ---------------------------------------------------------------------------
@@ -237,16 +211,6 @@ def distortion_flag(cfg: PhysicalConfig) -> bool:
     wL = w * L
     rhs = (w * L * L / 4.0) * (1.0 + wL * wL / 3.0) / (1.0 + wL * wL / 4.0)
     return lhs < rhs
-
-
-def distortion_threshold_length(cfg: PhysicalConfig) -> float:
-    """Closed-form necessary bound on L for distortion, a sqrt(3/2 (1 - k0/w)).
-
-    Weaker than :func:`distortion_flag` (it bounds the barrier-top slope by
-    wL^2/3); useful as a quick scale estimate only.
-    """
-    ratio = max(0.0, 1.0 - cfg.k0 / cfg.w)
-    return cfg.a * math.sqrt(1.5 * ratio)
 
 
 def kmax_find(cfgs, *, n_scan: int = _KMAX_N_SCAN, tol_ka: float = _KMAX_TOL_KA):
@@ -388,7 +352,7 @@ def symmetric_dwell_quadrature(cfg: PhysicalConfig, parity: Parity,
     """
     k, L = cfg.k0, cfg.L
     gamma, beta = symmetric_intra_barrier_coeffs(k, cfg)
-    rho = math.sqrt(cfg.w ** 2 - k * k)
+    rho = math.sqrt(cfg.w * cfg.w - k * k)
     xs, wq = _gauss_legendre(n_quad)
     half = 0.5 * L
     xs = xs * half

@@ -35,17 +35,13 @@ __all__ = [
     "Parity",
     "ScatterCoeffs",
     "MultipeakSeries",
-    "SymmetricAmplitude",
     "above_barrier_coeffs",
-    "above_barrier_phase",
     "above_barrier_phase_derivative",
     "tunnel_amplitude_nr",
-    "tunnel_phase",
     "tunnel_phase_derivative",
     "multipeak_coeffs",
     "multipeak_sums",
     "symmetric_amplitudes",
-    "symmetric_combined",
     "symmetric_phase",
     "symmetric_intra_barrier_coeffs",
     "relativistic_transmission",
@@ -100,15 +96,6 @@ class MultipeakSeries:
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class SymmetricAmplitude:
-    """Unimodular combined amplitude R +- T of the symmetric collision."""
-
-    phi: float
-    parity: Parity
-    combined: complex
-
-
 def unwrap_phase(samples, period: float = math.pi):
     """Remove branch jumps from an ordered phase track.
 
@@ -134,8 +121,10 @@ def _coeffs(k: np.ndarray, R, T, alpha, beta, theta) -> ScatterCoeffs:
 # ---------------------------------------------------------------------------
 
 def _above_momentum(k, w: float, what: str):
-    """q = sqrt(k^2 - w^2) after the k > w check (NaN refused); ``what`` is e.g. "sums need"."""
-    if not np.asarray(k > w).all():
+    """q = sqrt(k^2 - w^2) after the k > w check (NaN refused); ``what`` is e.g. "sums need".
+    k^2 is formed in numpy, so np.errstate sees it overflow, also for a float k."""
+    k = np.asarray(k, dtype=float)
+    if not (k > w).all():
         raise ZoneError(f"{what} k > w = {w:g}")
     return np.sqrt(k * k - w * w)
 
@@ -159,13 +148,6 @@ def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     alpha = (k * (k + q) / F) * phase * np.exp(-1j * q * L)
     beta = -(k * (k - q) / F) * phase * np.exp(1j * q * L)
     return _coeffs(k, R, T, alpha, beta, theta)
-
-
-def above_barrier_phase(k_grid, cfg: PhysicalConfig) -> np.ndarray:
-    """Transmission phase theta(k) on a grid, unwrapped to a continuous track."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    theta = above_barrier_coeffs(k_grid, cfg).theta
-    return unwrap_phase(theta, period=2.0 * math.pi)
 
 
 def above_barrier_phase_derivative(k, cfg: PhysicalConfig):
@@ -263,13 +245,6 @@ def tunnel_amplitude_nr(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     k = np.asarray(k, dtype=float)
     rho, *parts = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
     return _evanescent_coeffs(k, rho, cfg.L, cfg.w * cfg.w, parts)
-
-
-def tunnel_phase(k_grid, cfg: PhysicalConfig) -> np.ndarray:
-    """Tunneling transmission phase on a grid, unwrapped (monotone in k)."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    theta = _tunnel_parts(k_grid, cfg.w, cfg.L, "tunneling phase needs")[-1]
-    return unwrap_phase(theta, period=2.0 * math.pi)
 
 
 def tunnel_phase_derivative(k, cfg: PhysicalConfig):
@@ -391,14 +366,6 @@ def symmetric_phase(k, cfg: PhysicalConfig, parity: Parity):
     sech = 2.0 * e / (1.0 + e * e)
     out = -np.arctan2(2.0 * k * rho * th, (2.0 * k * k - w * w) + parity.sign * w * w * sech)
     return out if out.ndim else float(out)
-
-
-def symmetric_combined(k: float, cfg: PhysicalConfig, parity: Parity) -> SymmetricAmplitude:
-    """Combined amplitude R +- T = exp(-i [kL - phi_pm]); |combined| = 1."""
-    R, T = symmetric_amplitudes(k, cfg)
-    combined = R + parity.sign * T
-    phi = symmetric_phase(k, cfg, parity)
-    return SymmetricAmplitude(phi=phi, parity=parity, combined=combined)
 
 
 def symmetric_intra_barrier_coeffs(k, cfg: PhysicalConfig):

@@ -288,7 +288,7 @@ def reference_relativistic_times_rows(config: dict) -> list[tuple]:
 
 def reference_multipeak_rows(config: dict) -> list[tuple]:
     """Rows of both ``multipeak`` tables from one partial-sum call per snapshot and component."""
-    cfg = _above_barrier_cfg(config)
+    cfg, _ = _above_barrier_cfg(config)
     q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
     n_terms, n_x = config["n_terms"], config["n_x"]
     span = 22.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
@@ -299,7 +299,7 @@ def reference_multipeak_rows(config: dict) -> list[tuple]:
         "transmitted": SpatialGrid(cfg.L, cfg.L + span, n_x),
     }
     rows = []
-    for idx, t in enumerate(_snapshot_times(cfg, config["n_snapshots"])):
+    for idx, t in enumerate(_snapshot_times(cfg, q0, config["n_snapshots"])):
         for tag, grid in regions.items():
             pk = field_peak(multipeak_partial_sum_field(tag, n_terms, grid, t, cfg))
             rows.append((idx, t, tag, pk.x, pk.density))
@@ -314,10 +314,10 @@ def reference_confront_rows(config: dict) -> list[tuple]:
     snapshot, whose rows equal one-time calls; each sampled cell is read with
     ``float``.
     """
-    cfg = _above_barrier_cfg(config)
+    cfg, _ = _above_barrier_cfg(config)
     n_terms, n_x = config["n_terms"], config["n_x"]
-    snapshots = _snapshot_times(cfg, config["n_snapshots"])
     q0 = math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
+    snapshots = _snapshot_times(cfg, q0, config["n_snapshots"])
     span = 20.0 * cfg.a + 2.0 * n_terms * (cfg.k0 / q0) * cfg.L
     grids = {
         "incident": SpatialGrid(-span, 0.0, n_x),

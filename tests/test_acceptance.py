@@ -16,6 +16,7 @@ from tunnellab.core import PhysicalConfig, rho_n_squared
 from tunnellab.stationary import (
     Parity,
     above_barrier_coeffs,
+    above_barrier_phase_derivative,
     multipeak_coeffs,
     multipeak_sums,
     relativistic_transmission,
@@ -26,7 +27,6 @@ from tunnellab.stationary import (
     unwrap_phase,
 )
 from tunnellab.observables import (
-    above_barrier_phase_derivative,
     fermion_acceleration_predicate,
     kmax_find,
     nr_one_way_rate,

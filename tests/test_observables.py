@@ -26,9 +26,7 @@ from tunnellab.lab import scenario_defaults
 from tunnellab.wavepackets import COMPONENT_TAGS, spm_peak_prediction
 from tunnellab.observables import (
     SpectralMaximum,
-    barrier_top_time,
     distortion_flag,
-    distortion_threshold_length,
     fermion_acceleration_predicate,
     kmax_find,
     naive_above_barrier_times,
@@ -37,7 +35,6 @@ from tunnellab.observables import (
     nr_phase_time,
     nr_transmission_mag,
     phase_time_shape,
-    reflection_delay,
     rel_continuity_dwell,
     rel_dwell,
     rel_dwell_zone_edge,
@@ -82,8 +79,9 @@ class TestNaiveTimes:
     def test_reflected_delay_relation(self):
         cfg = above_cfg(L=1.7)
         at0 = naive_above_barrier_times(cfg, 0.0)
+        # the group delay d theta/dE = (m/k) d theta/dk of the reflected peak
         assert at0.reflected - at0.incident == pytest.approx(
-            float(reflection_delay(cfg.k0, cfg)), rel=1e-12)
+            (cfg.m / cfg.k0) * above_barrier_phase_derivative(cfg.k0, cfg), rel=1e-12)
 
     def test_resonance_sign_flip(self):
         # interior wave appears after the incident peak at resonance,
@@ -98,12 +96,14 @@ class TestNaiveTimes:
         k0 = cfg.k0
         q0 = math.sqrt(k0 ** 2 - cfg.w ** 2)
         expected = (cfg.m * cfg.L / q0) * (k0 ** 2 + q0 ** 2) / (2.0 * k0 * q0)
-        assert reflection_delay(k0, cfg) == pytest.approx(expected, rel=1e-12)
+        assert (cfg.m / k0) * above_barrier_phase_derivative(k0, cfg) == pytest.approx(
+            expected, rel=1e-12)
         cfg = resonant_cfg(1.0, 3.0, 2.5)
         k0 = cfg.k0
         q0 = math.sqrt(k0 ** 2 - cfg.w ** 2)
         expected = (cfg.m * cfg.L / q0) * (2.0 * k0 * q0) / (k0 ** 2 + q0 ** 2)
-        assert reflection_delay(k0, cfg) == pytest.approx(expected, rel=1e-12)
+        assert (cfg.m / k0) * above_barrier_phase_derivative(k0, cfg) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_zone_error(self):
         with pytest.raises(ZoneError):
@@ -205,15 +205,16 @@ class TestShapeFunction:
         assert g == pytest.approx(1.0 - 10.0 / math.sinh(10.0) ** 2, abs=1e-8)
 
     def test_barrier_top_linear_regime(self):
+        # the barrier-top time (2mL/(w alpha)) G(alpha) is (mL/w) times the one-way rate at n = 1
         cfg = tunnel_cfg(L=0.5)
-        assert barrier_top_time(1e-3, cfg) == pytest.approx(
+        assert cfg.m * cfg.L / cfg.w * nr_one_way_rate(1.0, 1e-3) == pytest.approx(
             4.0 * cfg.m * cfg.L / (3.0 * cfg.w), rel=1e-3)
 
     def test_barrier_top_opaque_regime(self):
         cfg = tunnel_cfg(L=0.5)
         # (2mL/(w alpha)) G -> 2m/(w rho) with rho = alpha/L
         alpha = 40.0
-        assert barrier_top_time(alpha, cfg) == pytest.approx(
+        assert cfg.m * cfg.L / cfg.w * nr_one_way_rate(1.0, alpha) == pytest.approx(
             2.0 * cfg.m * cfg.L / (cfg.w * alpha), rel=1e-6)
 
 
@@ -257,12 +258,6 @@ class TestSpectralMaximum:
         # k0 at the barrier top: any nonzero width distorts
         top = PhysicalConfig(m=1.0, V0=0.5, L=0.01, a=1.0, k0=1.0)
         assert distortion_flag(top)
-        assert distortion_threshold_length(top) == 0.0
-
-    def test_threshold_length_scale(self):
-        cfg = self.cfg(2.0, 0.5)
-        bound = distortion_threshold_length(cfg)
-        assert bound == pytest.approx(math.sqrt(1.5 * (1.0 - 0.5)), rel=1e-12)
 
 
 def table1_cells(k0a):

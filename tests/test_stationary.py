@@ -11,19 +11,17 @@ from tunnellab.core import PhysicalConfig, ZoneError, evanescent_rate
 from tunnellab.observables import nr_phase_time
 from tunnellab.stationary import (
     Parity,
+    _tunnel_parts,
     above_barrier_coeffs,
-    above_barrier_phase,
     above_barrier_phase_derivative,
     kg_scatter_coeffs,
     multipeak_coeffs,
     multipeak_sums,
     relativistic_transmission,
     symmetric_amplitudes,
-    symmetric_combined,
     symmetric_intra_barrier_coeffs,
     symmetric_phase,
     tunnel_amplitude_nr,
-    tunnel_phase,
     tunnel_phase_derivative,
     unwrap_phase,
 )
@@ -115,7 +113,7 @@ class TestAboveBarrierPhaseDerivative:
 
         def theta(kk):
             ks = np.linspace(k - 0.02, k + 0.02, 801)
-            track = above_barrier_phase(ks, cfg)
+            track = unwrap_phase(above_barrier_coeffs(ks, cfg).theta, 2.0 * math.pi)
             return float(np.interp(kk, ks, track))
 
         fd = central_difference(theta, k, 1e-4)
@@ -188,8 +186,8 @@ class TestTunnelAmplitude:
     def test_phase_monotone_after_unwrap(self):
         cfg = tunnel_cfg(L=6.0)
         ks = np.linspace(1e-3, cfg.w * (1 - 1e-9), 5000)
-        track = tunnel_phase(ks, cfg)
-        assert np.all(np.diff(track) > 0)
+        theta = _tunnel_parts(ks, cfg.w, cfg.L, "tunneling phase needs")[-1]
+        assert np.all(np.diff(unwrap_phase(theta, 2.0 * math.pi)) > 0)
 
     def test_phase_derivative_fd(self):
         cfg = tunnel_cfg(L=2.0)
@@ -217,7 +215,8 @@ class TestTunnelAmplitude:
         sc = tunnel_amplitude_nr(k, cfg)
         opaque_theta = math.atan2(2.0 * k * k - w * w, 2.0 * k * rho)
         assert sc.theta == pytest.approx(opaque_theta, abs=1e-15)
-        assert tunnel_phase(np.array([k]), cfg)[0] == sc.theta
+        theta = _tunnel_parts(np.array([k]), w, cfg.L, "tunneling phase needs")[-1]
+        assert unwrap_phase(theta, 2.0 * math.pi)[0] == sc.theta
         assert abs(sc.R) == pytest.approx(1.0, abs=1e-15)
         assert abs(sc.T) < 1e-300
         assert cmath.isfinite(sc.alpha_coef) and cmath.isfinite(sc.beta_coef)
@@ -374,10 +373,11 @@ class TestSymmetricCollision:
 
     def test_combined_record(self):
         cfg = tunnel_cfg(L=1.0)
-        rec = symmetric_combined(0.5, cfg, Parity.ANTISYMMETRIC)
-        assert abs(abs(rec.combined) - 1.0) < 1e-12
-        assert rec.combined == pytest.approx(
-            np.exp(-1j * (0.5 * cfg.L - rec.phi)), abs=1e-12)
+        # R - T = exp(-i [kL - phi_-]), unimodular
+        R, T = symmetric_amplitudes(0.5, cfg)
+        phi = symmetric_phase(0.5, cfg, Parity.ANTISYMMETRIC)
+        assert abs(abs(R - T) - 1.0) < 1e-12
+        assert R - T == pytest.approx(np.exp(-1j * (0.5 * cfg.L - phi)), abs=1e-12)
 
     def test_intra_barrier_profile_continuity(self):
         # the reconstructed interior field joins the outer solutions at both faces
