@@ -105,10 +105,10 @@ class PhysicalConfig:
 
 
 def energy(k, cfg: PhysicalConfig):
-    """Dispersion relation: k^2/(2m) non-relativistic, sqrt(k^2 + m^2) otherwise."""
+    """Dispersion relation: k^2/(2m) non-relativistic, sqrt(k^2 + m^2) otherwise; NaN refused."""
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
-        raise ValueError("momentum k must be >= 0")
+    if not (k >= 0.0).all():
+        raise ZoneError("momentum k must be >= 0")
     if cfg.dispersion is Dispersion.NONRELATIVISTIC:
         out = k * k / (2.0 * cfg.m)
     else:
@@ -117,10 +117,10 @@ def energy(k, cfg: PhysicalConfig):
 
 
 def group_velocity(k, cfg: PhysicalConfig):
-    """dE/dk; equals k/m (NR) or k/E (relativistic, always < 1)."""
+    """dE/dk; equals k/m (NR) or k/E (relativistic, always < 1).  NaN is refused."""
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0.0):
-        raise ValueError("group velocity needs k > 0")
+    if not (k > 0.0).all():
+        raise ZoneError("group velocity needs k > 0")
     if cfg.dispersion is Dispersion.NONRELATIVISTIC:
         out = k / cfg.m
     else:

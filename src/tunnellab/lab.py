@@ -480,7 +480,7 @@ def _run_relativistic_times(config: dict, sweep: Sweep | None) -> list[ResultTab
         T_mag, phi = zone.transmission()
         t_dwell = zone.dwell(continuity=False)
         rel_only = ([(zone.S - upsilon) * t_dwell, zone.self_interference(),
-                     zone.residual(_IDENTITY_N_QUAD)] if upsilon > 0.0
+                     zone.residual()] if upsilon > 0.0
                     else [np.full(ns.size, math.nan)] * 3)
         rows += _rows([np.full(ns.size, upsilon), ns, T_mag ** 2, phi,
                        zone.phase_time, t_dwell, *rel_only])

@@ -67,8 +67,8 @@ __all__ = [
     "rel_variational_residual",
 ]
 
-_FIELD_ROWS = 1024    # rows per (rows x n_quad) interior field of the identity check
-_IDENTITY_N_QUAD = 160    # Gauss-Legendre nodes per row of the identity check
+_FIELD_ROWS = 1024    # rows per (rows x nodes) interior field of a dwell integral
+_IDENTITY_N_QUAD = 160    # Gauss-Legendre nodes per row of every dwell integral
 
 
 def _as_1d(*values):
@@ -82,13 +82,28 @@ def _restore(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
-    xs, wq = np.polynomial.legendre.leggauss(n)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only _IDENTITY_N_QUAD Gauss-Legendre nodes and weights on [-1, 1], built once."""
+    xs, wq = np.polynomial.legendre.leggauss(_IDENTITY_N_QUAD)
     xs.flags.writeable = False
     wq.flags.writeable = False
     return xs, wq
+
+
+def _density_integral(alpha, beta, rho, lo: float, hi: float) -> np.ndarray:
+    """Integral of |alpha e^{-rho x} + beta e^{rho x}|^2 over [lo, hi] for each row of the 1-D
+    arrays, on the cached nodes, in fields of at most _FIELD_ROWS rows (bounding their memory)."""
+    xs, wq = _gauss_legendre()
+    half = 0.5 * (hi - lo)
+    xs, wq = lo + half * (xs + 1.0), wq * half
+    integral = np.empty(rho.size)
+    for start in range(0, rho.size, _FIELD_ROWS):
+        rows = slice(start, start + _FIELD_ROWS)
+        field = alpha[rows, None] * np.exp(-rho[rows, None] * xs) \
+            + beta[rows, None] * np.exp(rho[rows, None] * xs)
+        integral[rows] = np.sum(wq * np.abs(field) ** 2, axis=1)
+    return integral
 
 
 @dataclass(frozen=True)
@@ -342,25 +357,18 @@ def symmetric_self_interference(n, alpha, parity: Parity):
     return _symmetric_triple(n, alpha, parity)[2]
 
 
-def symmetric_dwell_quadrature(cfg: PhysicalConfig, parity: Parity,
-                               n_quad: int = 200) -> float:
+def symmetric_dwell_quadrature(cfg: PhysicalConfig, parity: Parity) -> float:
     """Dwell time from the reconstructed intra-barrier density.
 
-    (m/k) integral of |(phi_L +- phi_R)/sqrt(2)|^2 over [-L/2, L/2], with the
-    intra-barrier pair taken from the continuity conditions.  Matches the
-    closed form for both parities.
+    (m/k) integral over [-L/2, L/2] of |(phi_L +- phi_R)/sqrt(2)|^2, the density of
+    ((gamma +- beta) e^{-rho x} + (beta +- gamma) e^{rho x})/sqrt(2) with the intra-barrier
+    pair from the continuity conditions.  Matches the closed form for both parities.
     """
-    k, L = cfg.k0, cfg.L
+    k, L, sign = np.array([cfg.k0]), cfg.L, parity.sign
     gamma, beta = symmetric_intra_barrier_coeffs(k, cfg)
-    rho = math.sqrt(cfg.w * cfg.w - k * k)
-    xs, wq = _gauss_legendre(n_quad)
-    half = 0.5 * L
-    xs = xs * half
-    wq = wq * half
-    left = gamma * np.exp(-rho * xs) + beta * np.exp(rho * xs)
-    right = gamma * np.exp(rho * xs) + beta * np.exp(-rho * xs)
-    dens = np.abs((left + parity.sign * right) / math.sqrt(2.0)) ** 2
-    return float(cfg.m / k * np.sum(wq * dens))
+    rho = np.sqrt(cfg.w * cfg.w - k * k)
+    pair = ((gamma + sign * beta) / math.sqrt(2.0), (beta + sign * gamma) / math.sqrt(2.0))
+    return float(cfg.m / k[0] * _density_integral(*pair, rho, -0.5 * L, 0.5 * L)[0])
 
 
 def fermion_acceleration_predicate(n, alpha) -> bool:
@@ -435,19 +443,11 @@ class _RelZone:
         k, cfg, _, sc = self.continuity
         return -sc.R.imag / (k * cfg.L)
 
-    def residual(self, n_quad: int) -> np.ndarray:
+    def residual(self) -> np.ndarray:
         k, cfg, rho, sc = self.continuity
-        L, V0, E, rho = cfg.L, cfg.V0, np.sqrt(k * k + 1.0), rho[:, None]
-        xs, wq = _gauss_legendre(n_quad)
-        xs, wq = 0.5 * L * (xs + 1.0), wq * 0.5 * L
-        integral = np.empty_like(k)
-        for lo in range(0, k.size, _FIELD_ROWS):   # bounds the field's memory
-            rows = slice(lo, lo + _FIELD_ROWS)
-            phi2 = sc.alpha_coef[rows, None] * np.exp(-rho[rows] * xs) \
-                + sc.beta_coef[rows, None] * np.exp(rho[rows] * xs)
-            integral[rows] = np.sum(wq * np.abs(phi2) ** 2, axis=1)
-        tau = L * E / k
-        return self.phase_time - ((E - V0) / k * integral / tau + self.self_interference())
+        E = np.sqrt(k * k + 1.0)
+        dwell = (E - cfg.V0) / k * _density_integral(sc.alpha_coef, sc.beta_coef, rho, 0.0, cfg.L)
+        return self.phase_time - (dwell / (cfg.L * E / k) + self.self_interference())
 
 
 def rel_phase_time(n_sq, upsilon: float, wL: float):
@@ -575,16 +575,15 @@ def rel_self_interference(n_sq, upsilon: float, wL: float):
     return _restore(zone.self_interference(), zone.scalar)
 
 
-def rel_variational_residual(n_sq, upsilon: float, wL: float, n_quad: int = _IDENTITY_N_QUAD):
+def rel_variational_residual(n_sq, upsilon: float, wL: float):
     """Residual of the phase/dwell identity, normalized by tau.
 
     t_phi/tau - [ ((E - V0)/k) integral |phi_2|^2 / tau + t_I/tau ]
     with the intra-barrier field and R from the continuity solution; zero up
-    to quadrature roundoff.  The field is formed on (rows x n_quad) grids of
-    at most _FIELD_ROWS rows.
+    to quadrature roundoff.
     """
     zone = _RelZone(n_sq, upsilon, wL)
-    return _restore(zone.residual(n_quad), zone.scalar)
+    return _restore(zone.residual(), zone.scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ class TestDispersion:
         with pytest.raises(ValueError):
             group_velocity(0.0, nr_cfg())
 
+    def test_nan_momentum_refused(self):
+        # NaN compares False with the k >= 0 and k > 0 bounds: both must still refuse it
+        for cfg in (nr_cfg(), kg_cfg()):
+            for k in (math.nan, np.array([1.0, math.nan])):
+                with pytest.raises(ZoneError, match="k must be >= 0"):
+                    energy(k, cfg)
+                with pytest.raises(ZoneError, match="k > 0"):
+                    group_velocity(k, cfg)
+
     def test_relativistic_velocity_below_light_and_monotone(self):
         ks = np.logspace(-1, 3, 50)
         vs = group_velocity(ks, kg_cfg())
@@ -112,6 +121,10 @@ class TestChannels:
     def test_rate_is_klein_gordon_only(self):
         with pytest.raises(ZoneError, match="relativistic configuration"):
             evanescent_rate(0.5, nr_cfg())
+
+    def test_zone_refuses_nan(self):
+        with pytest.raises(ZoneError):
+            kg_zone(math.nan, kg_cfg())
 
     def test_zone_partition_exhaustive(self):
         cfg = kg_cfg()

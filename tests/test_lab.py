@@ -529,7 +529,7 @@ class TestOneRelativisticSolution:
         zone = observables._RelZone(np.linspace(1.6, 3.4, 7), 5.0, 2.0 * math.pi)
         for _ in range(2):
             zone.phase_time, zone.dwell(continuity=True), zone.self_interference()
-            zone.residual(40)
+            zone.residual()
         assert solution_calls == {"scaled": 1, "_kg_solution": 1, "evanescent_rate": 1}
 
 

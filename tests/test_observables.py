@@ -190,6 +190,24 @@ class TestNrPhaseTime:
             assert nr_phase_time(float(k), cfg) == pytest.approx(
                 tau * float(nr_one_way_rate(n, alpha)), rel=1e-12)
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 20.0), st.floats(0.1, 5.0), st.floats(0.02, 0.98))
+    def test_phase_is_dwell_plus_self_interference(self, m, V0, L, k_over_w):
+        # t_phi = t_D + t_I with t_D = (m/k) int_0^L |alpha e^{-rho x} + beta e^{rho x}|^2,
+        # the dwell integral every identity check shares, and t_I = -m Im R / k^2.
+        # rho L stays at or below 40: the error of the sum grows like rho L times the
+        # rounding of e^{rho x} (2e-13 at 40, 1e-12 near 200); reaching rho L = 700 needs
+        # the one-way closed forms, which are not written yet
+        w = math.sqrt(2.0 * m * V0)
+        k = k_over_w * w
+        rho = math.sqrt(w * w - k * k)
+        cfg = PhysicalConfig.tunneling(m=m, V0=V0, L=min(L, 40.0 / rho), a=1.0, k0=k)
+        sc = tunnel_amplitude_nr(np.array([k]), cfg)
+        t_dwell = (m / k) * observables._density_integral(
+            sc.alpha_coef, sc.beta_coef, np.array([rho]), 0.0, cfg.L)[0]
+        t_self = -m * sc.R.imag[0] / (k * k)
+        assert t_dwell + t_self == pytest.approx(nr_phase_time(k, cfg), rel=1e-12)
+
     def test_small_alpha_rate_limit(self):
         for n in (0.1, 0.5, 0.9):
             assert nr_one_way_rate(n, 1e-3) == pytest.approx(1.0 + 1.0 / (2.0 * n), rel=1e-3)
@@ -681,7 +699,8 @@ class TestRelativisticArrayCalls:
             with pytest.raises(ZoneError, match="upsilon > 0"):
                 fn(np.array([0.5]), 0.0, 1.0)
 
-    def test_nodes_built_once_per_order(self, monkeypatch):
+    def test_nodes_built_once(self, monkeypatch):
+        # the residual and the symmetric dwell read one cached node set
         from tunnellab import observables
         calls = []
         real = np.polynomial.legendre.leggauss
@@ -697,15 +716,15 @@ class TestRelativisticArrayCalls:
             for _ in range(3):
                 rel_variational_residual(ns, 5.0, 2.0 * math.pi)
                 rel_variational_residual(2.0, 5.0, 1.0)
-                rel_variational_residual(2.0, 5.0, 1.0, n_quad=40)
                 symmetric_dwell_quadrature(tunnel_cfg(), Parity.SYMMETRIC)
+                symmetric_dwell_quadrature(tunnel_cfg(), Parity.ANTISYMMETRIC)
         finally:
             observables._gauss_legendre.cache_clear()
-        assert sorted(calls) == [40, 160, 200]
+        assert calls == [160]
 
     def test_cached_nodes_read_only(self):
         from tunnellab import observables
-        xs, wq = observables._gauss_legendre(160)
+        xs, wq = observables._gauss_legendre()
         assert not xs.flags.writeable and not wq.flags.writeable
         with pytest.raises(ValueError):
             xs[0] = 0.0
