@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-    tunnellab run <scenario> [--config FILE] [--out PREFIX] [--json]
-                             [--no-timestamp] [--threads N]
+    tunnellab run <scenario> [--config FILE] [--out PREFIX] [--json] [--no-timestamp]
     tunnellab list
 
-Exit codes: 0 ok, 2 config error (float failures included), 3 scenario error, 4 I/O error.
+Exit codes: 0 ok, 2 config error (float failures, non-UTF-8 and over-nested
+config files included), 3 scenario error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -44,12 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true", help="also write JSON mirrors")
     run.add_argument("--no-timestamp", action="store_true",
                      help="suppress the generated_at line for byte-identical reruns")
-    run.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility and ignored (must be >= 1): "
-                          "every scenario runs in one thread")
 
     sub.add_parser("list", help="enumerate available scenarios")
     return parser
+
+
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,39 +66,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        if args.config:
-            try:
-                text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
-                print(f"tunnellab: cannot read config: {exc}", file=sys.stderr)
-                return EXIT_IO
-            spec = parse_config(text, scenario=args.scenario)
-        else:
-            spec = parse_config("{}", scenario=args.scenario)
-    except ConfigError as exc:
-        print(f"tunnellab: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScenarioError as exc:
-        print(f"tunnellab: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-
-    if args.threads < 1:
-        print("tunnellab: config error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        tables = run_scenario(spec, threads=args.threads)
+        text = _read_config(args.config) if args.config else "{}"
+        spec = parse_config(text, scenario=args.scenario)
+        tables = run_scenario(spec)
+        stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
+        paths = emit_tables(tables, args.out or f"tunnellab_{spec.name}",
+                            json_mirror=args.json, timestamp=stamp)
     except ConfigError as exc:
         print(f"tunnellab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ScenarioError as exc:
         print(f"tunnellab: scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-
-    prefix = args.out or spec.output or f"tunnellab_{spec.name}"
-    stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
-    try:
-        paths = emit_tables(tables, prefix, json_mirror=args.json, timestamp=stamp)
     except OSError as exc:
         print(f"tunnellab: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

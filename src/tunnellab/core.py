@@ -241,8 +241,8 @@ class GaussianSpectrum:
 
     def amplitude(self, k):
         k = np.asarray(k, dtype=float)
-        out = (self.a ** 2 / (2.0 * np.pi)) ** 0.25 * np.exp(
-            -self.a ** 2 * (k - self.k0) ** 2 / 4.0)
+        out = ((self.a * self.a) / (2.0 * np.pi)) ** 0.25 * np.exp(
+            -(self.a * self.a) * (k - self.k0) ** 2 / 4.0)
         return out if out.ndim else float(out)
 
 

@@ -86,7 +86,6 @@ class ScenarioSpec:
     name: str
     config: dict = field(default_factory=dict)
     sweep: Sweep | None = None
-    output: str | None = None
 
 
 @dataclass
@@ -192,8 +191,9 @@ def _work(name: str, config: dict, sweep: Sweep | None = None) -> float:
 def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
     """Parse a JSON scenario configuration in strict mode.
 
-    Recognized top-level keys: scenario, config, sweep, output.  Unknown keys
-    anywhere are rejected; parse errors carry line/column positions.  Every
+    Recognized top-level keys: scenario, config, sweep.  Unknown keys
+    anywhere are rejected; parse errors carry line/column positions, and a
+    document nested too deeply to parse is a ConfigError too.  Every
     value is checked against the schema and stored as its key's type, and the
     work estimate is checked before anything is built.
     """
@@ -201,9 +201,11 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
         raw = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - {"scenario", "config", "sweep", "output"}
+    unknown = set(raw) - {"scenario", "config", "sweep"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
 
@@ -247,10 +249,7 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
         sweep = Sweep(parameter=schema.sweep[0], **fields)
 
     _work(name, config, sweep)
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("'output' must be a string path prefix")
-    return ScenarioSpec(name=name, config=config, sweep=sweep, output=output)
+    return ScenarioSpec(name=name, config=config, sweep=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +303,12 @@ def _run_free_packet(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     cfg = PhysicalConfig(m=config["m"], V0=1.0, L=0.0, a=config["a"],
                          k0=config["k0"], x0=config["x0"])
     # sweep and default both quote t in units of the spreading time m a^2
-    times = (sweep.values() * cfg.m * cfg.a ** 2 if sweep else
-             np.linspace(0.0, config["t_max"] * cfg.m * cfg.a ** 2, config["t_steps"]))
+    times = (sweep.values() * cfg.m * (cfg.a * cfg.a) if sweep else
+             np.linspace(0.0, config["t_max"] * cfg.m * (cfg.a * cfg.a), config["t_steps"]))
     rows = []
     for t in times:
         center = free_gaussian_peak(float(t), cfg)
-        spread = cfg.a * math.sqrt(1.0 + (2.0 * t / (cfg.m * cfg.a ** 2)) ** 2)
+        spread = cfg.a * math.sqrt(1.0 + (2.0 * t / (cfg.m * (cfg.a * cfg.a))) ** 2)
         grid = SpatialGrid(center - 12.0 * spread, center + 12.0 * spread, config["n_x"])
         fld = WaveField(grid=grid, values=np.asarray(free_gaussian(grid.x, float(t), cfg)),
                         t=float(t), component_tag="free")
@@ -586,8 +585,10 @@ SCENARIO_NAMES = tuple(sorted(_SCHEMA))
 def run_scenario(spec: ScenarioSpec, threads: int = 1) -> list[ResultTable]:
     """Run one scenario and return its result tables (deterministic).
 
-    ``threads`` is accepted for compatibility and ignored: every scenario
-    runs in the calling thread.
+    ``threads`` is ignored: every scenario runs in the calling thread.  It
+    stays only because ``bench/scenarios.py`` passes ``threads=1``; it goes
+    with ``above-barrier-naive``'s unread ``n_x`` when the benchmark is next
+    changed (ROADMAP item 1(d)).
     """
     if spec.name not in _SCHEMA:
         raise ScenarioError(f"unknown scenario {spec.name!r}; choose one of {', '.join(SCENARIO_NAMES)}")

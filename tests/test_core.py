@@ -187,6 +187,14 @@ class TestSpectrum:
             norm = np.trapezoid(s.amplitude(ks) ** 2, ks)
             assert norm == pytest.approx(1.0, abs=1e-10)
 
+    def test_width_enters_as_its_correct_square(self):
+        # C pow rounds 2.759 ** 2 to 7.612080999999999 on glibc 2.36; a * a is 7.612081
+        square = float(Fraction(2.759) ** 2)
+        s = GaussianSpectrum(a=2.759, k0=1.0)
+        prefactor = (square / (2.0 * math.pi)) ** 0.25
+        assert s.amplitude(1.0) == prefactor
+        assert s.amplitude(3.0) == prefactor * np.exp(-square)
+
 
 class TestTraversalAndWindow:
     def test_classical_times(self):

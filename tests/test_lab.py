@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,16 @@ class TestParseConfig:
         assert spec.config["wa_values"] == [1.5, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0]
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="unknown top-level"):
-            parse_config('{"bogus": 1}', scenario="table1")
+        for text in ('{"bogus": 1}', '{"output": "runs/x"}'):   # --out sets the prefix
+            with pytest.raises(ConfigError, match="unknown top-level"):
+                parse_config(text, scenario="table1")
+
+    def test_nesting_too_deep_to_parse(self):
+        # json.loads raised RecursionError here
+        depth = 200_000
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            parse_config('{"config": ' + "[" * depth + "]" * depth + "}",
+                         scenario="free-packet")
 
     def test_unknown_config_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -452,6 +461,20 @@ class TestRunScenarios:
         for row in table.rows:
             assert row[3] == pytest.approx(1.0, abs=1e-6)
 
+    def test_free_packet_times_use_the_correct_square(self):
+        # C pow rounds 2.759 ** 2 to 7.612080999999999 on glibc 2.36; a * a is 7.612081
+        square = float(Fraction(2.759) ** 2)
+        spec = parse_config('{"config": {"a": 2.759, "n_x": 201}}', scenario="free-packet")
+        (table,) = run_scenario(spec)
+        t_max, m, steps = spec.config["t_max"], spec.config["m"], spec.config["t_steps"]
+        assert [row[0] for row in table.rows] == list(np.linspace(0.0, t_max * m * square, steps))
+        spec = parse_config(json.dumps({
+            "sweep": {"parameter": "t", "min": 0.0, "max": 3.0, "steps": 4},
+            "config": {"a": 2.759, "n_x": 201},
+        }), scenario="free-packet")
+        (table,) = run_scenario(spec)
+        assert [row[0] for row in table.rows] == list(np.linspace(0.0, 3.0, 4) * m * square)
+
 
 _SERIES_SIZES = [{}, {"n_terms": 1, "n_snapshots": 1}, {"n_terms": 1, "n_snapshots": 40},
                  {"n_terms": 5, "n_snapshots": 1}, {"n_terms": 5, "n_snapshots": 40}]
@@ -689,16 +712,20 @@ class TestCli:
         assert f"invalid configuration for scenario {scenario!r}" in capsys.readouterr().err
         assert list(tmp_path.glob("out*")) == []
 
-    def test_arithmetic_failure_prints_no_traceback(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text('{"config": {"wa": 1e-300}}')
+    @staticmethod
+    def _run_process(tmp_path, scenario, config):
         src = str(Path(tunnellab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "tunnellab.cli", "run", "multipeak", "--config", str(config),
+        return subprocess.run(
+            [sys.executable, "-m", "tunnellab.cli", "run", scenario, "--config", str(config),
              "--out", str(tmp_path / "out"), "--no-timestamp"],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+    def test_arithmetic_failure_prints_no_traceback(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"config": {"wa": 1e-300}}')
+        done = self._run_process(tmp_path, "multipeak", config)
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert "invalid configuration for scenario 'multipeak'" in done.stderr
@@ -712,7 +739,35 @@ class TestCli:
                          "--no-timestamp", *flags]) == 0
         assert (tmp_path / "a_symmetric_times.json").exists()
         assert not (tmp_path / "b_symmetric_times.json").exists()
-        assert main(["run", "symmetric-times", "--out", str(tmp_path / "c"),
-                     "--threads", "0"]) == 2
-        assert "--threads must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as refused:   # argparse refuses the deleted option
+            main(["run", "symmetric-times", "--out", str(tmp_path / "c"), "--threads", "1"])
+        assert refused.value.code == 2
         assert not (tmp_path / "c_symmetric_times.csv").exists()
+
+    # a UnicodeDecodeError and a RecursionError traceback (exit 1) before they were mapped
+    @pytest.mark.parametrize("content, message", [
+        (b'{"config": {"k0": 2.5}}\xff', "is not UTF-8 text"),
+        (b'{"config": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", "nested too deeply")],
+        ids=["non-utf8", "nested"])
+    def test_malformed_config_file_exits_2_without_traceback(self, content, message, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        done = self._run_process(tmp_path, "free-packet", config)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("tunnellab: config error:")
+        assert message in done.stderr
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("args, code, prefix", [
+        (["free-packet", "--config", "."], 4, "I/O error"),
+        (["frobnicate"], 3, "scenario error"),
+        (["free-packet", "--config", "bad.json"], 2, "config error"),
+        (["free-packet", "--out", "blocker/x"], 4, "I/O error")],
+        ids=["config-is-directory", "unknown-scenario", "bad-key", "out-parent-is-file"])
+    def test_exit_map(self, args, code, prefix, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text('{"config": {"nope": 1}}')
+        Path("blocker").write_text("a file, not a directory")
+        assert main(["run", *args, "--no-timestamp"]) == code
+        assert capsys.readouterr().err.startswith(f"tunnellab: {prefix}: ")
