@@ -108,7 +108,8 @@ _HARTMAN_EDGE_MARGIN = 1e-3
 def _table1_rows(config: dict) -> int:
     """Rows of the table1 L/a grid; ConfigError past _TABLE1_MAX_CELLS rows x wa_values."""
     span = (config["L_over_a_max"] - config["L_over_a_min"]) / config["L_over_a_step"]
-    n_rows = round(span) + 1 if math.isfinite(span) else math.inf
+    # the rows at L_over_a_min + i step up to L_over_a_max, which rounding may leave just short
+    n_rows = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     n_wa = len(config["wa_values"])
     if n_rows * max(n_wa, 1) > _TABLE1_MAX_CELLS:   # the rows are built even with no wa
         raise ConfigError(f"L_over_a_step = {config['L_over_a_step']!r} gives {n_rows:.6g} rows"

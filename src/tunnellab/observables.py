@@ -209,6 +209,7 @@ def phase_time_shape(alpha):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _KMAX_N_SCAN = 2000     # kmax_find's scan points per cell
 _KMAX_TOL_KA = 1e-8     # kmax_find's final bracket width, in units of 1/a
+_DISTORTED = SpectralMaximum(math.nan, True, (math.nan, math.nan))
 
 
 def distortion_flag(cfg: PhysicalConfig) -> bool:
@@ -228,39 +229,41 @@ def distortion_flag(cfg: PhysicalConfig) -> bool:
     return lhs < rhs
 
 
-def kmax_find(cfgs, *, n_scan: int = _KMAX_N_SCAN, tol_ka: float = _KMAX_TOL_KA):
+def kmax_find(cfgs):
     """Argmax of g(k - k0) |T(k, L)| over (0, w) for one config or a sequence.
 
-    A config gives a SpectralMaximum, a sequence a list in order.  Each cell
-    is bracketed by the argmax of its n_scan np.linspace points; one
-    golden-section loop then refines every cell in lockstep, one objective
-    call per iteration, until each bracket is below tol_ka / a.  That bounds
-    the bracket, not the error: the objective is flat to rounding at its
-    maximum (docs/DECISIONS.md D5).  Below the distortion threshold it is
-    unimodal with its maximum in (k0, w), so the scan reads every
-    isqrt(n_scan)-th point, then those within one stride of the best: the
-    same argmax (D12).  Distorted cells are scanned in full.  A cell whose
-    scan overflows |T| (w L above about 350) raises ZoneError: the
-    overflowed |T| reads 0 and the scan would return an arbitrary point.
+    A config gives a SpectralMaximum, a sequence a list in order.  A distorted
+    cell (distortion_flag) is not searched: its argmax has no meaning, and its
+    k_max and bracket are NaN (docs/DECISIONS.md D19).  Every other cell is
+    unimodal with its maximum in (k0, w).  It is bracketed by the argmax of
+    its _KMAX_N_SCAN np.linspace points, read as every isqrt(_KMAX_N_SCAN)-th
+    point, then those within one stride of the best: the same argmax (D12).
+    One golden-section loop then refines every cell in lockstep, one
+    objective call per iteration, until each bracket is below _KMAX_TOL_KA / a.
+    That bounds the bracket, not the error: the objective is flat to rounding
+    at its maximum (D5).  A cell whose scan overflows |T| (w L above about
+    350) raises ZoneError: the overflowed |T| reads 0 and the scan would
+    return an arbitrary point.
     """
     single = isinstance(cfgs, PhysicalConfig)
     cells = [cfgs] if single else list(cfgs)
     for cfg in cells:
         if not 0.0 < cfg.k0 < cfg.w:
             raise ZoneError(f"the filtered-spectrum search needs 0 < k0 < w = {cfg.w:g}")
-    if not cells:
-        return []
+    found = [_DISTORTED] * len(cells)
+    calm = [(i, cfg) for i, cfg in enumerate(cells) if not distortion_flag(cfg)]
+    if not calm:
+        return found[0] if single else found
 
     def objective(k, w, a, k0, L):
         return np.exp(-a * a * (k - k0) ** 2 / 4.0) * nr_transmission_mag(k, w, L)
 
-    flags = [distortion_flag(cfg) for cfg in cells]
-    w, a, k0, L = np.array([(cfg.w, cfg.a, cfg.k0, cfg.L) for cfg in cells]).T.copy()
+    n_scan = _KMAX_N_SCAN
+    w, a, k0, L = np.array([(cfg.w, cfg.a, cfg.k0, cfg.L) for _, cfg in calm]).T.copy()
     # np.linspace's own points: i step + start, stop at the last index.  The indices are
     # floats, as in np.linspace; integer ones run numpy loops worth 0.25 MB of RSS (D12)
-    start = w * 1e-9
-    stop = w * (1.0 - 1e-12) if n_scan > 1 else start
-    step = (stop - start) / max(n_scan - 1, 1)
+    start, stop = w * 1e-9, w * (1.0 - 1e-12)
+    step = (stop - start) / (n_scan - 1)
 
     def points(rows, idx):
         """The scan points at indices idx, one row of idx per cell in rows."""
@@ -272,25 +275,23 @@ def kmax_find(cfgs, *, n_scan: int = _KMAX_N_SCAN, tol_ka: float = _KMAX_TOL_KA)
         return np.broadcast_to(idx, f.shape)[np.arange(len(rows)), f.argmax(axis=1)]
 
     stride = math.isqrt(n_scan)
-    width = min(2 * stride + 1, n_scan)
+    width = 2 * stride + 1
     coarse = np.array([[*range(0, n_scan - 1, stride), n_scan - 1]], dtype=float)
-    calm, chunk = [i for i, flag in enumerate(flags) if not flag], max(n_scan // width, 1)
-    index = np.empty(len(cells))
+    chunk = n_scan // width     # cells per scan call: no call exceeds n_scan points (D12)
+    index = np.empty(len(calm))
     with np.errstate(over="raise"):
         try:
-            for i in (j for j, flag in enumerate(flags) if flag):
-                index[i] = scan([i], np.arange(float(n_scan))[None])[0]
-            for rows in (calm[i:i + chunk] for i in range(0, len(calm), chunk)):
+            for rows in (np.arange(i, min(i + chunk, len(calm))) for i in range(0, len(calm), chunk)):
                 first = np.clip(scan(rows, coarse) - stride, 0, n_scan - width)
                 index[rows] = scan(rows, first[:, None] + np.arange(float(width)))
         except FloatingPointError:
             with np.errstate(over="ignore"):    # overflow grows as k falls; only it makes |T| 0
-                cfg = cells[int(np.argmax(nr_transmission_mag(start, w, L) == 0.0))]
+                _, cfg = calm[int(np.argmax(nr_transmission_mag(start, w, L) == 0.0))]
             raise ZoneError(f"the filtered-spectrum scan overflows at w a = {cfg.w * cfg.a:g},"
                             f" L/a = {cfg.L / cfg.a:g}: the barrier is too opaque") from None
     lo, hi = points(slice(None), np.clip(index[:, None] + [-1.0, 1.0], 0, n_scan - 1)).T.copy()
     brackets = list(zip(lo.tolist(), hi.tolist()))
-    tol = tol_ka / a
+    tol = _KMAX_TOL_KA / a
     c, d = hi - (hi - lo) * _INV_PHI, lo + (hi - lo) * _INV_PHI
     fc, fd = objective(c, w, a, k0, L), objective(d, w, a, k0, L)
     active = np.flatnonzero(hi - lo > tol)
@@ -304,8 +305,8 @@ def kmax_find(cfgs, *, n_scan: int = _KMAX_N_SCAN, tol_ka: float = _KMAX_TOL_KA)
         f = objective(np.where(left, c[active], d[active]), *(x[active] for x in (w, a, k0, L)))
         fc[lt], fd[rt] = f[left], f[~left]
         active = active[hi[active] - lo[active] > tol[active]]
-    found = [SpectralMaximum(float(0.5 * (low + high)), flag, bracket)
-             for low, high, flag, bracket in zip(lo, hi, flags, brackets)]
+    for (i, _), low, high, bracket in zip(calm, lo, hi, brackets):
+        found[i] = SpectralMaximum(float(0.5 * (low + high)), False, bracket)
     return found[0] if single else found
 
 

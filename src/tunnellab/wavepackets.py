@@ -48,6 +48,7 @@ COMPONENT_TAGS = ("incident", "reflected", "alpha", "beta", "transmitted")
 
 _REGION_TOL = 1e-9
 _BLOCK_BUDGET = 1 << 20   # complex values per block of rows (_spectral_field, _series_fields)
+_QUAD_TOL, _QUAD_N_K, _QUAD_MAX_N_K = 1e-6, 513, 16385   # quadrature refinement (_spectral_field)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,6 @@ class WaveField:
 class FieldPeak:
     x: float
     density: float
-    degenerate: bool
 
 
 def field_norm(f: WaveField) -> float:
@@ -106,15 +106,11 @@ def field_norm(f: WaveField) -> float:
 def field_peak(f: WaveField) -> FieldPeak:
     """Position and height of the density maximum, lowest-x tie break.
 
-    A field with no structure (all samples equal) is flagged degenerate and
-    reports the lowest grid point.
+    A field with no structure (all samples equal) reports the lowest grid point.
     """
     dens = f.density()
-    i = int(np.argmax(dens))  # argmax already takes the first (lowest-x) maximum
-    degenerate = bool(np.all(dens == dens[0]))
-    if degenerate:
-        i = 0
-    return FieldPeak(x=float(f.grid.x[i]), density=float(dens[i]), degenerate=degenerate)
+    i = int(np.argmax(dens))  # argmax takes the first (lowest-x) maximum
+    return FieldPeak(x=float(f.grid.x[i]), density=float(dens[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,8 @@ def _fields(grid: SpatialGrid, times: np.ndarray, single: bool, tag: str, values
 
 
 def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
-                        *, tol: float = 1e-6, n_k: int = 513,
-                        max_n_k: int = 16385) -> WaveField | list[WaveField]:
+                        *, tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K,
+                        max_n_k: int = _QUAD_MAX_N_K) -> WaveField | list[WaveField]:
     """Propagate one scattered component by quadrature over the momentum window.
 
     The window is k0 +- 8/a clipped to the above-barrier zone (w, inf).  The
@@ -318,14 +314,13 @@ def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
                                     sign, tol, n_k, max_n_k))
 
 
-def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
-                                 *, tol: float = 1e-6, n_k: int = 513,
-                                 max_n_k: int = 16385) -> WaveField | list[WaveField]:
+def propagate_tunnel_transmitted(grid: SpatialGrid, t,
+                                 cfg: PhysicalConfig) -> WaveField | list[WaveField]:
     """Transmitted packet of the tunneling geometry (barrier on [-L/2, L/2]).
 
     Quadrature of |T| e^{i theta} e^{ik(x - L/2)} over the momentum window
-    clipped to the tunneling zone (0, w), refined as in `propagate_component`;
-    `t` is one time or a sequence of times, as there.
+    clipped to the tunneling zone (0, w), refined as in `propagate_component`
+    at its default settings; `t` is one time or a sequence of times, as there.
     """
     if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
         raise ZoneError("tunnel propagation uses the non-relativistic solutions")
@@ -342,7 +337,7 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t, cfg: PhysicalConfig,
 
     return _fields(grid, times, single, "transmitted-tunnel",
                    *_spectral_field(amplitude, times, lo, hi, grid.x - half, grid.spacing,
-                                    1.0, tol, n_k, max_n_k))
+                                    1.0, _QUAD_TOL, _QUAD_N_K, _QUAD_MAX_N_K))
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +458,16 @@ def series_validity(cfg: PhysicalConfig) -> ValidityReport:
 # stationary-phase peak predictors (the naive single-peak reading)
 # ---------------------------------------------------------------------------
 
-def spm_peak_prediction(tag: str, t: float, cfg: PhysicalConfig,
-                        spectral_phase_slope: float | None = None) -> float:
+def spm_peak_prediction(tag: str, t: float, cfg: PhysicalConfig) -> float:
     """Naive stationary-phase peak position of one component at time t.
 
     These predictions deliberately reproduce the single-peak reading of the
     scattered phases, discontinuities included; the bounce series is the
-    corrected account.  `spectral_phase_slope` is d(lambda)/dk at k0 of an
-    extra spectral phase and shifts every prediction by its negative, the
-    space-translation rule of the free packet.
+    corrected account.
     """
     if tag == "incident":   # needs no scattering solution
-        x = cfg.x0 + cfg.k0 / cfg.m * t
-    elif tag in COMPONENT_TAGS:
-        x_ref, t_ref, v = _single_peak_lines(cfg, "naive predictions need")[tag]
-        x = x_ref + v * (t - t_ref)
-    else:
+        return cfg.x0 + cfg.k0 / cfg.m * t
+    if tag not in COMPONENT_TAGS:
         raise ValueError(f"unknown component tag {tag!r}")
-    if spectral_phase_slope is not None:
-        x -= spectral_phase_slope
-    return x
+    x_ref, t_ref, v = _single_peak_lines(cfg, "naive predictions need")[tag]
+    return x_ref + v * (t - t_ref)

@@ -94,7 +94,7 @@ def reference_naive_times(cfg, x: float) -> NaiveTimes:
     )
 
 
-def reference_spm_peak(tag: str, t: float, cfg, spectral_phase_slope: float | None = None) -> float:
+def reference_spm_peak(tag: str, t: float, cfg) -> float:
     """The single-peak position of one component at t, one formula per component."""
     k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
     v_k = k0 / m
@@ -116,8 +116,6 @@ def reference_spm_peak(tag: str, t: float, cfg, spectral_phase_slope: float | No
             x = x0 + L - dtheta + v_k * t
         else:
             raise ValueError(f"unknown component tag {tag!r}")
-    if spectral_phase_slope is not None:
-        x -= spectral_phase_slope
     return x
 
 

@@ -114,6 +114,17 @@ class TestTable1WorkBound:
     def test_default_grid(self):
         assert lab._table1_rows(self.config()) == 21
 
+    def test_no_row_past_L_over_a_max(self):
+        # the span is 3.6 steps: the last row is at L/a = 0.9, none at 1.2
+        spec = parse_config(json.dumps({"config": {
+            "wa_values": [4], "L_over_a_min": 0, "L_over_a_max": 1.08, "L_over_a_step": 0.3}}),
+            scenario="table1")
+        (table,) = run_scenario(spec)
+        assert [row[1] for row in table.rows] == pytest.approx([0.0, 0.3, 0.6, 0.9])
+        # a span integral up to rounding keeps its last row: (0.7 - 0.1) / 0.2 < 3
+        assert lab._table1_rows(self.config(L_over_a_min=0.1, L_over_a_max=0.7,
+                                            L_over_a_step=0.2)) == 4
+
     def test_limit_is_inclusive(self):
         limit = lab._TABLE1_MAX_CELLS
         at = self.config(wa_values=[1.0], L_over_a_min=0.0, L_over_a_max=limit - 1.0,
