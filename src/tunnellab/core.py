@@ -11,8 +11,9 @@ non-relativistic tunneling zone (k < w) from the above-barrier zone (k > w).
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -36,6 +37,31 @@ __all__ = [
 # Half-width of the momentum window used by every spectral integral, in units
 # of 1/a.  Gaussian mass outside k0 +- 8/a is below 1e-13.
 GAUSS_WINDOW_HALFWIDTH = 8.0
+
+
+def _numeric(arrays: int = 1):
+    """The number-or-array rule of the public numeric functions (docs/DECISIONS.md, D20).  The
+    first `arrays` positional arguments after a method's self arrive broadcast, as float arrays
+    of at least one dimension, so a call with numbers runs an array call's loop and equals its
+    element bit for bit; it returns Python float/complex, in a tuple or a dataclass too."""
+    def wrap(fn):
+        head = int(fn.__code__.co_varnames[0] == "self")
+
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            lead = [np.asarray(v, dtype=float) for v in args[head:head + arrays]]
+            lead = np.broadcast_arrays(*lead) if arrays > 1 else lead
+            out = fn(*args[:head], *map(np.atleast_1d, lead), *args[head + arrays:], **kwargs)
+            return out if lead[0].ndim else _item(out)
+        return call
+    return wrap
+
+
+def _item(out):
+    """The Python numbers of one-element arrays, inside a tuple or a dataclass too."""
+    if isinstance(out, tuple):
+        return tuple(map(_item, out))
+    return type(out)(*map(_item, vars(out).values())) if is_dataclass(out) else out.item()
 
 
 class Dispersion(enum.Enum):
@@ -104,33 +130,29 @@ class PhysicalConfig:
         return cfg
 
 
+@_numeric()
 def energy(k, cfg: PhysicalConfig):
     """Dispersion relation: k^2/(2m) non-relativistic, sqrt(k^2 + m^2) otherwise; NaN refused."""
-    k = np.asarray(k, dtype=float)
     if not (k >= 0.0).all():
         raise ZoneError("momentum k must be >= 0")
     if cfg.dispersion is Dispersion.NONRELATIVISTIC:
-        out = k * k / (2.0 * cfg.m)
-    else:
-        out = np.sqrt(k * k + cfg.m * cfg.m)
-    return out if out.ndim else float(out)
+        return k * k / (2.0 * cfg.m)
+    return np.sqrt(k * k + cfg.m * cfg.m)
 
 
+@_numeric()
 def group_velocity(k, cfg: PhysicalConfig):
     """dE/dk; equals k/m (NR) or k/E (relativistic, always < 1).  NaN is refused."""
-    k = np.asarray(k, dtype=float)
     if not (k > 0.0).all():
         raise ZoneError("group velocity needs k > 0")
     if cfg.dispersion is Dispersion.NONRELATIVISTIC:
-        out = k / cfg.m
-    else:
-        out = k / np.sqrt(k * k + cfg.m * cfg.m)
-    return out if out.ndim else float(out)
+        return k / cfg.m
+    return k / np.sqrt(k * k + cfg.m * cfg.m)
 
 
 def kg_zone(k: float, cfg: PhysicalConfig) -> str:
     """Relativistic zone by incident energy: 'klein', 'tunneling', 'above' or a boundary."""
-    E = float(energy(k, cfg))
+    E = energy(k, cfg)
     lo, hi = cfg.V0 - cfg.m, cfg.V0 + cfg.m
     if E < lo:
         return "klein"
@@ -141,6 +163,7 @@ def kg_zone(k: float, cfg: PhysicalConfig) -> str:
     return "tunneling"
 
 
+@_numeric()
 def evanescent_rate(k, cfg: PhysicalConfig):
     """Klein-Gordon evanescent decay rate rho = sqrt(m^2 - (E - V0)^2) for |E - V0| <= m.
 
@@ -149,18 +172,17 @@ def evanescent_rate(k, cfg: PhysicalConfig):
     """
     if cfg.dispersion is Dispersion.NONRELATIVISTIC:
         raise ZoneError("evanescent_rate needs a relativistic configuration")
-    k = np.asarray(k, dtype=float)
-    d = k * k / (np.asarray(energy(k, cfg), dtype=float) + cfg.m)
+    d = k * k / (energy(k, cfg) + cfg.m)
     arg = (cfg.V0 - d) * (2.0 * cfg.m + d - cfg.V0)
     if not (arg >= 0.0).all():
         raise ZoneError(
             "rho is real only in the relativistic tunneling zone |E - V0| <= m "
             f"(E in [{cfg.V0 - cfg.m:g}, {cfg.V0 + cfg.m:g}]); outside lie the Klein "
             "zone (below) and the above-barrier zone (above)")
-    out = np.sqrt(arg)
-    return out if out.ndim else float(out)
+    return np.sqrt(arg)
 
 
+@_numeric()
 def rho_n_squared(n_sq, upsilon):
     """Dimensionless evanescent rate squared, rho_n^2 = (rho(k)/w)^2.
 
@@ -173,11 +195,9 @@ def rho_n_squared(n_sq, upsilon):
     The conjugate form avoids cancellation near the zone edges and vanishes
     exactly at n^2 = upsilon/2 -+ 1; at upsilon = 0 it reduces to 1 - n^2.
     """
-    n_sq = np.asarray(n_sq, dtype=float)
     d = n_sq - 0.5 * upsilon
     s = np.sqrt(1.0 + 2.0 * n_sq * upsilon)
-    out = (1.0 - d * d) / (s + n_sq + 0.5 * upsilon)
-    return out if out.ndim else float(out)
+    return (1.0 - d * d) / (s + n_sq + 0.5 * upsilon)
 
 
 def _in_rel_zone(n_sq, upsilon: float):
@@ -236,21 +256,20 @@ class GaussianSpectrum:
     k0: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError("spectrum width a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0.0):
+            raise ValueError(f"spectrum width a must be finite and positive, got {self.a!r}")
 
+    @_numeric()
     def amplitude(self, k):
-        k = np.asarray(k, dtype=float)
-        out = ((self.a * self.a) / (2.0 * np.pi)) ** 0.25 * np.exp(
+        return ((self.a * self.a) / (2.0 * np.pi)) ** 0.25 * np.exp(
             -(self.a * self.a) * (k - self.k0) ** 2 / 4.0)
-        return out if out.ndim else float(out)
 
 
 def classical_traversal_time(cfg: PhysicalConfig) -> float:
     """Ballistic barrier crossing time L / v(k0); zero for a zero-width barrier."""
     if cfg.L == 0.0:
         return 0.0
-    return cfg.L / float(group_velocity(cfg.k0, cfg))
+    return cfg.L / group_velocity(cfg.k0, cfg)
 
 
 def momentum_window(cfg: PhysicalConfig, lower: float | None = None,

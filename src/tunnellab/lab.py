@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import PhysicalConfig, ZoneError, _in_rel_zone
-from .stationary import Parity, _above_momentum
+from .stationary import Parity, _above_momentum, _single_peak_lines
 from .observables import (
     _IDENTITY_N_QUAD,
     _KMAX_N_SCAN,
@@ -45,7 +45,6 @@ from .wavepackets import (
     free_gaussian_peak,
     multipeak_partial_sum_field,
     propagate_component,
-    spm_peak_prediction,
 )
 
 __all__ = [
@@ -334,11 +333,9 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
               for x, t in ((0.0, times_at), (cfg.L, times_at_L))],
     )
     snapshots = _snapshot_times(cfg, q0, config["n_snapshots"])
-    rows = []
-    for idx, t in enumerate(snapshots):
-        for tag in ("incident", "reflected", "alpha", "beta", "transmitted"):
-            x_pred = spm_peak_prediction(tag, t, cfg)
-            rows.append((idx, t, tag, x_pred))
+    lines = _single_peak_lines(cfg, "naive predictions need")   # spm_peak_prediction's lines
+    rows = [(idx, t, tag, x_ref + v * (t - t_ref)) for idx, t in enumerate(snapshots)
+            for tag, (x_ref, t_ref, v) in lines.items()]
     peaks = ResultTable(
         name="naive_peak_positions",
         columns=["snapshot", "t", "component", "x_peak_naive"],

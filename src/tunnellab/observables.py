@@ -26,6 +26,7 @@ from .core import (
     PhysicalConfig,
     ZoneError,
     _check_rel_zone,
+    _numeric,
     rho_n_squared,
 )
 from ._hyperbolic import one_way_rate, scaled
@@ -69,17 +70,6 @@ __all__ = [
 
 _FIELD_ROWS = 1024    # rows per (rows x nodes) interior field of a dwell integral
 _IDENTITY_N_QUAD = 160    # Gauss-Legendre nodes per row of every dwell integral
-
-
-def _as_1d(*values):
-    """Broadcast the inputs to a common flat shape; report if all were scalars."""
-    arrays = np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in values])
-    scalar = arrays[0].ndim == 0
-    return [np.atleast_1d(arr) for arr in arrays], scalar
-
-
-def _restore(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
 
 
 @functools.cache
@@ -146,22 +136,23 @@ def naive_above_barrier_times(cfg: PhysicalConfig, x: float) -> NaiveTimes:
 # non-relativistic one-way tunneling times
 # ---------------------------------------------------------------------------
 
+@_numeric()
 def nr_transmission_mag(k, w: float, L: float):
     """|T| below the barrier, stable through the barrier-top edge k -> w.
 
     |T| = [1 + w^4 sinh^2(rho L) / (4 k^2 rho^2)]^(-1/2); at k = w the ratio
     sinh^2(rho L)/rho^2 tends to L^2.
     """
-    (k,), scalar = _as_1d(k)
     rho_sq = w * w - k * k
     x_sq = rho_sq * L * L
     small = x_sq < 1e-12
     safe = np.where(small, 1.0, x_sq)
     ratio = np.where(small, L * L * (1.0 + x_sq / 3.0),
                      np.sinh(np.sqrt(safe)) ** 2 / np.where(small, 1.0, rho_sq))
-    return _restore((1.0 + w ** 4 * ratio / (4.0 * k * k)) ** -0.5, scalar)
+    return (1.0 + w ** 4 * ratio / (4.0 * k * k)) ** -0.5
 
 
+@_numeric()
 def nr_phase_time(k_eval, cfg: PhysicalConfig):
     """One-way tunneling phase time (m/k) d theta/dk at momentum k_eval in (0, w).
 
@@ -169,37 +160,45 @@ def nr_phase_time(k_eval, cfg: PhysicalConfig):
     (stationary.tunnel_phase_derivative), finite from the barrier-top edge to the
     deep-opaque regime.
     """
-    k = np.asarray(k_eval, dtype=float)
-    out = (cfg.m / k) * tunnel_phase_derivative(k, cfg)
-    return out if out.ndim else float(out)
+    return (cfg.m / k_eval) * tunnel_phase_derivative(k_eval, cfg)
 
 
+@_numeric()
 def nr_opaque_limit_time(k, cfg: PhysicalConfig):
     """Opaque-limit saturation value 2m / (k rho(k)) of the phase time."""
-    (k,), scalar = _as_1d(k)
     w = cfg.w
     _check_tunnel_zone(k, w, "opaque limit needs")
-    return _restore(2.0 * cfg.m / (k * np.sqrt(w * w - k * k)), scalar)
+    return 2.0 * cfg.m / (k * np.sqrt(w * w - k * k))
 
 
+def _check_opacity(alpha) -> None:
+    """ValueError unless every alpha >= 0, NaN refused."""
+    if not np.all(alpha >= 0.0):
+        raise ValueError("alpha must be >= 0")
+
+
+@_numeric(arrays=2)
 def nr_one_way_rate(n, alpha):
-    """Normalized one-way phase time t/tau as a function of (n, alpha).
+    """Normalized one-way phase time t/tau as a function of (n, alpha), 0 < n <= 1, alpha >= 0.
 
     (2/alpha) [sinh cosh - alpha n (2n - 1)] / [4 n (1 - n) + sinh^2].
     Limits: 1 + 1/(2n) as alpha -> 0 and 0 as alpha -> infinity.
     """
-    (n, alpha), scalar = _as_1d(n, alpha)
-    return _restore(one_way_rate(n, 1.0 - n, alpha), scalar)
+    if not np.all((n > 0.0) & (n <= 1.0)):
+        raise ZoneError("the one-way rate needs 0 < n <= 1")
+    _check_opacity(alpha)
+    return one_way_rate(n, 1.0 - n, alpha)
 
 
+@_numeric()
 def phase_time_shape(alpha):
     """Shape function G = (sinh cosh - alpha)/sinh^2 = alpha p/q of the barrier-top time.
 
     G(alpha)/alpha -> 2/3 as alpha -> 0; G -> 1 as alpha -> infinity.
     """
-    (alpha,), scalar = _as_1d(alpha)
+    _check_opacity(alpha)
     _, p, q, _ = scaled(alpha)
-    return _restore(alpha * p / q, scalar)
+    return alpha * p / q
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +313,7 @@ def kmax_find(cfgs):
 # symmetric-collision triple (normalized by tau_k = m L / k)
 # ---------------------------------------------------------------------------
 
+@_numeric(arrays=2)
 def _symmetric_triple(n, alpha, parity: Parity):
     """(phase, dwell, self-interference) ratios of one parity at (n, alpha).
 
@@ -322,18 +322,16 @@ def _symmetric_triple(n, alpha, parity: Parity):
     alpha (s + m p) and s cosh alpha = s + 2 m q.  No sum below cancels;
     2n - 1 + sign is formed as 2n + (sign - 1) for that reason.
     """
-    (n, alpha), scalar = _as_1d(n, alpha)
-    if np.any(n <= 0.0) or np.any(n >= 1.0):
+    if not np.all((n > 0.0) & (n < 1.0)):
         raise ZoneError("the symmetric triple needs 0 < n < 1")
-    if np.any(alpha < 0.0):
-        raise ValueError("alpha must be >= 0")
+    _check_opacity(alpha)
     sign = parity.sign
     s, p, q, m = scaled(0.5 * alpha)
     den = (2.0 * n + (sign - 1)) * s + 2.0 * sign * m * q
     nums = ((n + sign) * s + sign * m * p,
             n * ((1 + sign) * s + sign * m * p),
             sign * (1.0 - n) * (s + m * p))
-    return tuple(_restore(2.0 * num / den, scalar) for num in nums)
+    return tuple(2.0 * num / den for num in nums)
 
 
 def symmetric_phase_time(n, alpha, parity: Parity):
@@ -374,8 +372,7 @@ def symmetric_dwell_quadrature(cfg: PhysicalConfig, parity: Parity) -> float:
 
 def fermion_acceleration_predicate(n, alpha) -> bool:
     """True when the antisymmetric (fermion) phase time beats the ballistic time."""
-    rate = np.asarray(symmetric_phase_time(n, alpha, Parity.ANTISYMMETRIC))
-    return bool(np.all(rate < 1.0))
+    return bool(np.all(symmetric_phase_time(n, alpha, Parity.ANTISYMMETRIC) < 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +397,7 @@ class _RelZone:
     S = sqrt(1 + 2 n^2 upsilon), rho_n^2, the scaled parts of x = rho_n wL and, on first
     use, the Klein-Gordon continuity solution.  Each relativistic time is a view (D13)."""
 
-    def __init__(self, n_sq, upsilon: float, wL: float):
-        (n_sq,), self.scalar = _as_1d(n_sq)
+    def __init__(self, n_sq: np.ndarray, upsilon: float, wL: float):
         _check_rel_zone(n_sq, upsilon)
         self.n_sq, self.upsilon, self.wL = n_sq, upsilon, wL
         self.S, self.rn_sq = np.sqrt(1.0 + 2.0 * n_sq * upsilon), rho_n_squared(n_sq, upsilon)
@@ -451,6 +447,7 @@ class _RelZone:
         return self.phase_time - (dwell / (cfg.L * E / k) + self.self_interference())
 
 
+@_numeric()
 def rel_phase_time(n_sq, upsilon: float, wL: float):
     """Normalized relativistic phase time t_phi/tau in the tunneling zone.
 
@@ -458,19 +455,18 @@ def rel_phase_time(n_sq, upsilon: float, wL: float):
     near-edge closed form as rho_n wL -> 0 and reduces to the
     non-relativistic one-way rate at upsilon = 0.
     """
-    zone = _RelZone(n_sq, upsilon, wL)
-    return _restore(zone.phase_time, zone.scalar)
+    return _RelZone(n_sq, upsilon, wL).phase_time
 
 
+@_numeric()
 def rel_phase_time_near_edge(n_sq, upsilon: float):
     """Zone-edge limit of the relativistic phase time (rho_n wL -> 0).
 
     (4/3) [(4 + 4n^2 u + u^2) S - 2u(2 + 3n^2 u)]
         / [(4 + 8n^2 u + u^2) S - 4u(1 + 2n^2 u)],  S = sqrt(1 + 2 n^2 u).
     """
-    (n_sq,), scalar = _as_1d(n_sq)
     _, B, _, D = _rel_phase_brackets(n_sq, upsilon, np.sqrt(1.0 + 2.0 * n_sq * upsilon))
-    return _restore((2.0 / 3.0) * B / D, scalar)
+    return (2.0 / 3.0) * B / D
 
 
 def _zone_edge(upsilon: float, edge: str) -> tuple[float, int]:
@@ -505,6 +501,7 @@ def rel_transmission_zone_edge(upsilon: float, edge: str, wL: float) -> float:
     return (1.0 + wL * wL / (4.0 * n_sq)) ** -0.5   # 2 upsilon -+ 4 = 4 n^2 exactly
 
 
+@_numeric()
 def rel_dwell(n_sq, upsilon: float, wL: float):
     """Normalized relativistic dwell time t_D/tau in the tunneling zone.
 
@@ -516,10 +513,10 @@ def rel_dwell(n_sq, upsilon: float, wL: float):
     the dwell that ``relativistic-times`` emits; the one that the phase time
     splits into exactly is :func:`rel_continuity_dwell` (docs/DECISIONS.md, D1).
     """
-    zone = _RelZone(n_sq, upsilon, wL)
-    return _restore(zone.dwell(continuity=False), zone.scalar)
+    return _RelZone(n_sq, upsilon, wL).dwell(continuity=False)
 
 
+@_numeric()
 def rel_continuity_dwell(n_sq, upsilon: float, wL: float):
     """Normalized dwell t_D/tau of the exact Klein-Gordon continuity solution.
 
@@ -532,8 +529,7 @@ def rel_continuity_dwell(n_sq, upsilon: float, wL: float):
     t_phi/tau = ((E - V0)/m) t_D/tau + t_I/tau exactly. It equals
     :func:`rel_dwell` at upsilon = 0, where n^2 + rho^2 = 1.
     """
-    zone = _RelZone(n_sq, upsilon, wL)
-    return _restore(zone.dwell(continuity=True), zone.scalar)
+    return _RelZone(n_sq, upsilon, wL).dwell(continuity=True)
 
 
 def rel_dwell_zone_edge(upsilon: float, edge: str, wL: float) -> tuple[float, float]:
@@ -557,25 +553,27 @@ def rel_dwell_zone_edge(upsilon: float, edge: str, wL: float) -> tuple[float, fl
     return n_sq, (g + (4.0 / 3.0) * (1.0 - g)) / (2.0 * n_sq - sign)
 
 
+@_numeric()
 def rel_rescaled_dwell(n_sq, upsilon: float, wL: float):
     """Lorentz-consistent dwell: ((E - V0)/m) t_D/tau.
 
     Changes sign exactly where E = V0, i.e. n^2 = (upsilon^2 - 1)/(2 upsilon).
     """
     zone = _RelZone(n_sq, upsilon, wL)
-    return _restore((zone.S - upsilon) * zone.dwell(continuity=False), zone.scalar)
+    return (zone.S - upsilon) * zone.dwell(continuity=False)
 
 
+@_numeric()
 def rel_self_interference(n_sq, upsilon: float, wL: float):
     """Normalized overlap delay in front of the barrier.
 
     t_I/tau = -(dk/dE) Im[R] / (k tau) = -Im[R]/(k L), with R from the
     continuity solution.
     """
-    zone = _RelZone(n_sq, upsilon, wL)
-    return _restore(zone.self_interference(), zone.scalar)
+    return _RelZone(n_sq, upsilon, wL).self_interference()
 
 
+@_numeric()
 def rel_variational_residual(n_sq, upsilon: float, wL: float):
     """Residual of the phase/dwell identity, normalized by tau.
 
@@ -583,8 +581,7 @@ def rel_variational_residual(n_sq, upsilon: float, wL: float):
     with the intra-barrier field and R from the continuity solution; zero up
     to quadrature roundoff.
     """
-    zone = _RelZone(n_sq, upsilon, wL)
-    return _restore(zone.residual(), zone.scalar)
+    return _RelZone(n_sq, upsilon, wL).residual()
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .core import (
     Dispersion,
     PhysicalConfig,
     ZoneError,
+    _numeric,
     evanescent_rate,
 )
 from ._hyperbolic import one_way_rate
@@ -109,13 +110,6 @@ def unwrap_phase(samples, period: float = math.pi):
     return np.unwrap(samples, period=period)
 
 
-def _coeffs(k: np.ndarray, R, T, alpha, beta, theta) -> ScatterCoeffs:
-    """ScatterCoeffs of arrays, or of Python scalars for a 0-d k."""
-    if k.ndim:
-        return ScatterCoeffs(R, T, alpha, beta, theta)
-    return ScatterCoeffs(complex(R), complex(T), complex(alpha), complex(beta), float(theta))
-
-
 # ---------------------------------------------------------------------------
 # one-sided incidence, k above the barrier
 # ---------------------------------------------------------------------------
@@ -129,6 +123,7 @@ def _above_momentum(k, w: float, what: str):
     return np.sqrt(k * k - w * w)
 
 
+@_numeric()
 def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """Stationary amplitudes for k > w on the barrier [0, L].
 
@@ -136,7 +131,6 @@ def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     intra-barrier pair alpha, beta multiplies e^{+-iqx}; all share the phase
     theta = atan2((k^2+q^2) sin qL, 2kq cos qL).
     """
-    k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
     q = _above_momentum(k, w, "above-barrier amplitudes need")
     s, c = np.sin(q * L), np.cos(q * L)
@@ -147,9 +141,10 @@ def above_barrier_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     T = (2.0 * k * q / F) * phase * np.exp(-1j * k * L)
     alpha = (k * (k + q) / F) * phase * np.exp(-1j * q * L)
     beta = -(k * (k - q) / F) * phase * np.exp(1j * q * L)
-    return _coeffs(k, R, T, alpha, beta, theta)
+    return ScatterCoeffs(R, T, alpha, beta, theta)
 
 
+@_numeric()
 def above_barrier_phase_derivative(k, cfg: PhysicalConfig):
     """Closed-form d theta/dk for k > w.
 
@@ -159,13 +154,11 @@ def above_barrier_phase_derivative(k, cfg: PhysicalConfig):
     (k^2+q^2) L / (2 q^2); at antiresonance (qL = (n+1/2) pi) to
     2 k^2 L / (k^2+q^2).
     """
-    k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
     q = _above_momentum(k, w, "above-barrier phase derivative needs")
     s, c = np.sin(q * L), np.cos(q * L)
     F2 = 4.0 * k * k * q * q * c * c + (k * k + q * q) ** 2 * s * s
-    out = (2.0 / q) * (k * k * q * (k * k + q * q) * L - w ** 4 * s * c) / F2
-    return out if out.ndim else float(out)
+    return (2.0 / q) * (k * k * q * (k * k + q * q) * L - w ** 4 * s * c) / F2
 
 
 def _single_peak_lines(cfg: PhysicalConfig, what: str) -> dict:
@@ -174,7 +167,7 @@ def _single_peak_lines(cfg: PhysicalConfig, what: str) -> dict:
     operand orders keep the per-component formulas' values (docs/DECISIONS.md, D15)."""
     k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
     v_k, v_q = k0 / m, float(_above_momentum(k0, cfg.w, what)) / m
-    dtheta = float(above_barrier_phase_derivative(k0, cfg))
+    dtheta = above_barrier_phase_derivative(k0, cfg)
     delay = -(x0 - dtheta) / v_k
     return {"incident": (x0, 0.0, v_k), "reflected": (-x0 + dtheta, 0.0, -v_k),
             "alpha": (L, delay, v_q), "beta": (L, delay, -v_q),
@@ -224,7 +217,7 @@ def _evanescent_coeffs(k: np.ndarray, rho, L: float, K2, parts) -> ScatterCoeffs
     T = 2.0 * e * a * np.exp(-1j * k * L)
     alpha = (1.0 - 1j * k / rho) * a
     beta = (1.0 + 1j * k / rho) * (e * e) * a
-    return _coeffs(k, R, T, alpha, beta, theta)
+    return ScatterCoeffs(R, T, alpha, beta, theta)
 
 
 def _tunnel_parts(k, w: float, L: float, what: str):
@@ -234,6 +227,7 @@ def _tunnel_parts(k, w: float, L: float, what: str):
     return (rho, *_evanescent_parts(k, rho, rho * L, 2.0 * k * k - w * w))
 
 
+@_numeric()
 def tunnel_amplitude_nr(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """Stationary amplitudes for 0 < k < w on the barrier [0, L].
 
@@ -242,11 +236,11 @@ def tunnel_amplitude_nr(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     through by cosh(rho L) so that every amplitude is finite at every opacity;
     alpha_coef and beta_coef multiply e^{-rho x} and e^{+rho x}.
     """
-    k = np.asarray(k, dtype=float)
     rho, *parts = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
     return _evanescent_coeffs(k, rho, cfg.L, cfg.w * cfg.w, parts)
 
 
+@_numeric()
 def tunnel_phase_derivative(k, cfg: PhysicalConfig):
     """Closed-form d theta/dk in the tunneling zone.
 
@@ -255,12 +249,10 @@ def tunnel_phase_derivative(k, cfg: PhysicalConfig):
 
     which is L times the one-way rate at n = k^2/w^2, n_bar = rho^2/w^2.
     """
-    k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
     _check_tunnel_zone(k, w, "tunneling phase derivative needs")
     rho_sq = w * w - k * k
-    out = L * one_way_rate(k * k / (w * w), rho_sq / (w * w), np.sqrt(rho_sq) * L)
-    return out if out.ndim else float(out)
+    return L * one_way_rate(k * k / (w * w), rho_sq / (w * w), np.sqrt(rho_sq) * L)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +304,10 @@ def multipeak_coeffs(k: float, cfg: PhysicalConfig, eps: float = 1e-12) -> Multi
                            tail_bound=tail_bound)
 
 
+@_numeric()
 def multipeak_sums(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """Closed geometric sums of the bounce series; equals the one-shot amplitudes."""
-    k, L = np.asarray(k, dtype=float), cfg.L
+    L = cfg.L
     q = _above_momentum(k, cfg.w, "multipeak sums need")
     r, R1, a1, b1, T1, R2 = _bounce_first_terms(k, q, L)
     geo = 1.0 / (1.0 - r)
@@ -323,13 +316,14 @@ def multipeak_sums(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     beta = b1 * geo
     T = T1 * geo
     theta = np.angle(T * np.exp(1j * k * L))
-    return _coeffs(k, R, T, alpha, beta, theta)
+    return ScatterCoeffs(R, T, alpha, beta, theta)
 
 
 # ---------------------------------------------------------------------------
 # symmetric two-packet collision (barrier on [-L/2, L/2], tunneling zone)
 # ---------------------------------------------------------------------------
 
+@_numeric()
 def symmetric_amplitudes(k, cfg: PhysicalConfig):
     """Reflection and transmission amplitudes seen by either colliding packet.
 
@@ -344,14 +338,13 @@ def symmetric_amplitudes(k, cfg: PhysicalConfig):
     reading breaks the combined-amplitude phases and is discontinuous at
     2k^2 = w^2).
     """
-    k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
     rho, *parts = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
     sc = _evanescent_coeffs(k, rho, L, w * w, parts)
-    R = sc.R * np.exp(-1j * k * L)
-    return (R if k.ndim else complex(R)), sc.T
+    return sc.R * np.exp(-1j * k * L), sc.T
 
 
+@_numeric()
 def symmetric_phase(k, cfg: PhysicalConfig, parity: Parity):
     """Scattering phase of the combined unimodular amplitude R +- T.
 
@@ -360,14 +353,13 @@ def symmetric_phase(k, cfg: PhysicalConfig, parity: Parity):
     and denominator are divided by cosh(rho L), with 1 / cosh x formed as
     2 e^{-x} / (1 + e^{-2x}).
     """
-    k = np.asarray(k, dtype=float)
     w, L = cfg.w, cfg.L
     rho, th, e, _, _ = _tunnel_parts(k, w, L, "symmetric collision amplitudes need")
     sech = 2.0 * e / (1.0 + e * e)
-    out = -np.arctan2(2.0 * k * rho * th, (2.0 * k * k - w * w) + parity.sign * w * w * sech)
-    return out if out.ndim else float(out)
+    return -np.arctan2(2.0 * k * rho * th, (2.0 * k * k - w * w) + parity.sign * w * w * sech)
 
 
+@_numeric()
 def symmetric_intra_barrier_coeffs(k, cfg: PhysicalConfig):
     """Intra-barrier pair (gamma, beta) of the left-incident symmetric solution.
 
@@ -379,21 +371,17 @@ def symmetric_intra_barrier_coeffs(k, cfg: PhysicalConfig):
     folded into gamma ~ e^{-x/2} and beta ~ e^{-3x/2}, so that neither
     factor overflows.
     """
-    k = np.asarray(k, dtype=float)
     L = cfg.L
     rho, _, e, c, theta = _tunnel_parts(k, cfg.w, L, "symmetric collision amplitudes need")
     a = c * np.exp(1j * (theta - 0.5 * k * L) - 0.5 * rho * L) / (1.0 + e * e)
-    gamma = (1.0 - 1j * k / rho) * a
-    beta = (1.0 + 1j * k / rho) * e * a
-    if k.ndim:
-        return gamma, beta
-    return complex(gamma), complex(beta)
+    return (1.0 - 1j * k / rho) * a, (1.0 + 1j * k / rho) * e * a
 
 
 # ---------------------------------------------------------------------------
 # relativistic (Klein-Gordon) transmission
 # ---------------------------------------------------------------------------
 
+@_numeric()
 def relativistic_transmission(n_sq, upsilon: float, wL: float):
     """Transmission modulus and phase in the relativistic tunneling zone.
 
@@ -409,12 +397,12 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
     to 0 instead of overflowing.  Returns (T_mag, phi), a view of the
     tunneling-zone solution behind every relativistic time (observables._RelZone).
     """
-    from .observables import _RelZone, _restore   # observables builds on this module
+    from .observables import _RelZone   # observables builds on this module
 
-    zone = _RelZone(n_sq, upsilon, wL)
-    return tuple(_restore(part, zone.scalar) for part in zone.transmission())
+    return _RelZone(n_sq, upsilon, wL).transmission()
 
 
+@_numeric()
 def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     """Exact Klein-Gordon continuity solution on the barrier [0, L].
 
@@ -432,8 +420,7 @@ def _kg_solution(k, cfg: PhysicalConfig):
     """(rho, coefficients) of :func:`kg_scatter_coeffs`: the rate its interior field decays at."""
     if cfg.dispersion is not Dispersion.RELATIVISTIC_KG:
         raise ZoneError("kg_scatter_coeffs needs a relativistic configuration")
-    k = np.asarray(k, dtype=float)
-    rho = np.asarray(evanescent_rate(k, cfg), dtype=float)
+    rho = evanescent_rate(k, cfg)
     if np.any(rho == 0.0):
         raise ZoneError("exact coefficients are singular at the zone edge rho = 0")
     parts = _evanescent_parts(k, rho, rho * cfg.L, k * k - rho * rho)

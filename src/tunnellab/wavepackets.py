@@ -22,6 +22,7 @@ from .core import (
     GaussianSpectrum,
     PhysicalConfig,
     ZoneError,
+    _numeric,
     momentum_window,
 )
 from .stationary import _above_momentum, _single_peak_lines, _tunnel_parts, above_barrier_coeffs
@@ -117,6 +118,7 @@ def field_peak(f: WaveField) -> FieldPeak:
 # free Gaussian packet
 # ---------------------------------------------------------------------------
 
+@_numeric()
 def free_gaussian(x, t: float, cfg: PhysicalConfig):
     """Closed-form free Gaussian packet (non-relativistic dispersion).
 
@@ -125,9 +127,7 @@ def free_gaussian(x, t: float, cfg: PhysicalConfig):
     """
     if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
         raise ZoneError("the closed-form free packet is non-relativistic")
-    x = np.asarray(x, dtype=float)
-    out = _free_envelope(x - cfg.x0, t, cfg)
-    return out if out.ndim else complex(out)
+    return _free_envelope(x - cfg.x0, t, cfg)
 
 
 def _free_envelope(X, t: float, cfg: PhysicalConfig):
@@ -283,8 +283,7 @@ def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
     if cfg.L == 0.0:
         # zero-width barrier: free propagation (R = 0, T = 1 identically)
         if tag in ("incident", "transmitted"):
-            values = [np.asarray(free_gaussian(grid.x, tt, cfg), dtype=complex)
-                      for tt in times.tolist()]
+            values = [free_gaussian(grid.x, tt, cfg) for tt in times.tolist()]
         elif tag == "reflected":
             values = np.zeros((times.size, grid.n_points), dtype=complex)
         else:

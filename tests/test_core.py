@@ -187,6 +187,11 @@ class TestSpectrum:
             norm = np.trapezoid(s.amplitude(ks) ** 2, ks)
             assert norm == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+    def test_width_must_be_finite_and_positive(self, a):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GaussianSpectrum(a=a, k0=1.0)
+
     def test_width_enters_as_its_correct_square(self):
         # C pow rounds 2.759 ** 2 to 7.612080999999999 on glibc 2.36; a * a is 7.612081
         square = float(Fraction(2.759) ** 2)

@@ -529,6 +529,29 @@ class TestSymmetricTriple:
             symmetric_phase_time(1.2, 1.0, Parity.SYMMETRIC)
 
 
+class TestOneWayDomain:
+    """The one-way rate and the shape function refuse what the symmetric triple refuses:
+    alpha < 0 and NaN alpha (ValueError), and n outside their domain (ZoneError)."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (nr_one_way_rate, (0.5, -1.0)),
+        (nr_one_way_rate, (0.5, math.nan)),
+        (nr_one_way_rate, (np.array([0.5, 0.5]), np.array([1.0, -1.0]))),
+        (phase_time_shape, (-1.0,)),
+        (phase_time_shape, (math.nan,)),
+        (symmetric_phase_time, (0.5, math.nan, Parity.SYMMETRIC)),
+        (symmetric_dwell, (0.5, math.nan, Parity.ANTISYMMETRIC)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_negative_or_nan_alpha_refused(self, fn, args):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            fn(*args)
+
+    @pytest.mark.parametrize("n", [1.5, 1.0 + 1e-12, -0.5, 0.0, math.nan])
+    def test_n_outside_zero_one_refused(self, n):
+        with pytest.raises(ZoneError, match=r"0 < n <= 1"):
+            nr_one_way_rate(n, 1.0)
+
+
 class TestRelativisticPhaseTime:
     def test_finite_difference(self):
         wL = 2.0 * math.pi
@@ -700,7 +723,7 @@ class TestRelativisticArrayCalls:
                              0.5 * upsilon + 1.0 - 1e-3, 101)
             for fn in (rel_variational_residual, rel_self_interference):
                 stacked = np.array([fn(float(n_sq), upsilon, wL) for n_sq in ns])
-                np.testing.assert_allclose(fn(ns, upsilon, wL), stacked, rtol=0.0, atol=1e-15)
+                np.testing.assert_array_equal(fn(ns, upsilon, wL), stacked)
 
     def test_field_blocks(self, monkeypatch):
         from tunnellab import observables
