@@ -56,4 +56,5 @@ def one_way_rate(n, n_bar, alpha):
     2 [n_bar (1 + 2n) s + m p] / [4 n n_bar s + m q].
     """
     s, p, q, m = scaled(alpha)
+    m = np.where(n_bar == 0.0, 1.0, m)   # m cancels at the barrier top, and underflows below 1e-154
     return 2.0 * (n_bar * (1.0 + 2.0 * n) * s + m * p) / (4.0 * n * n_bar * s + m * q)

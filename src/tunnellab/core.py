@@ -46,11 +46,9 @@ def _numeric(arrays: int = 1):
     element bit for bit; it returns Python float/complex, in a tuple or a dataclass too."""
     def wrap(fn):
         head = int(fn.__code__.co_varnames[0] == "self")
-
         @functools.wraps(fn)
         def call(*args, **kwargs):
-            lead = [np.asarray(v, dtype=float) for v in args[head:head + arrays]]
-            lead = np.broadcast_arrays(*lead) if arrays > 1 else lead
+            lead = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args[head:head + arrays]))
             out = fn(*args[:head], *map(np.atleast_1d, lead), *args[head + arrays:], **kwargs)
             return out if lead[0].ndim else _item(out)
         return call

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import PhysicalConfig, ZoneError, _in_rel_zone
-from .stationary import Parity, _above_momentum, _single_peak_lines
+from .stationary import Parity, _above_momentum
 from .observables import (
     _IDENTITY_N_QUAD,
     _KMAX_N_SCAN,
@@ -37,6 +37,7 @@ from .observables import (
     symmetric_phase_time,
 )
 from .wavepackets import (
+    COMPONENT_TAGS,
     SpatialGrid,
     WaveField,
     field_norm,
@@ -45,6 +46,7 @@ from .wavepackets import (
     free_gaussian_peak,
     multipeak_partial_sum_field,
     propagate_component,
+    spm_peak_prediction,
 )
 
 __all__ = [
@@ -279,7 +281,7 @@ def _above_barrier_cfg(config: dict) -> tuple[PhysicalConfig, float]:
     x0 = -k0 * L / (2.0 * math.sqrt(k0 * k0 - w * w))
     cfg = PhysicalConfig.above_barrier(m=1.0 / (a * a), V0=w * w * a * a / 2.0,
                                        L=L, a=a, k0=k0, x0=x0)
-    return cfg, float(_above_momentum(cfg.k0, cfg.w, "the bounce layout needs"))
+    return cfg, _above_momentum(cfg.k0, cfg.w, "the bounce layout needs")
 
 
 def _snapshot_times(cfg: PhysicalConfig, q0: float, n_snapshots: int) -> list[float]:
@@ -310,7 +312,7 @@ def _run_free_packet(config: dict, sweep: Sweep | None) -> list[ResultTable]:
         center = free_gaussian_peak(float(t), cfg)
         spread = cfg.a * math.sqrt(1.0 + (2.0 * t / (cfg.m * (cfg.a * cfg.a))) ** 2)
         grid = SpatialGrid(center - 12.0 * spread, center + 12.0 * spread, config["n_x"])
-        fld = WaveField(grid=grid, values=np.asarray(free_gaussian(grid.x, float(t), cfg)),
+        fld = WaveField(grid=grid, values=free_gaussian(grid.x, float(t), cfg),
                         t=float(t), component_tag="free")
         pk = field_peak(fld)
         rows.append((float(t), center, pk.x, field_norm(fld)))
@@ -333,9 +335,9 @@ def _run_above_barrier_naive(config: dict, sweep) -> list[ResultTable]:
               for x, t in ((0.0, times_at), (cfg.L, times_at_L))],
     )
     snapshots = _snapshot_times(cfg, q0, config["n_snapshots"])
-    lines = _single_peak_lines(cfg, "naive predictions need")   # spm_peak_prediction's lines
-    rows = [(idx, t, tag, x_ref + v * (t - t_ref)) for idx, t in enumerate(snapshots)
-            for tag, (x_ref, t_ref, v) in lines.items()]
+    x_naive = {tag: spm_peak_prediction(tag, np.array(snapshots), cfg) for tag in COMPONENT_TAGS}
+    rows = [(idx, t, tag, float(x_naive[tag][idx])) for idx, t in enumerate(snapshots)
+            for tag in COMPONENT_TAGS]
     peaks = ResultTable(
         name="naive_peak_positions",
         columns=["snapshot", "t", "component", "x_peak_naive"],

@@ -114,10 +114,10 @@ def unwrap_phase(samples, period: float = math.pi):
 # one-sided incidence, k above the barrier
 # ---------------------------------------------------------------------------
 
+@_numeric()
 def _above_momentum(k, w: float, what: str):
     """q = sqrt(k^2 - w^2) after the k > w check (NaN refused); ``what`` is e.g. "sums need".
     k^2 is formed in numpy, so np.errstate sees it overflow, also for a float k."""
-    k = np.asarray(k, dtype=float)
     if not (k > w).all():
         raise ZoneError(f"{what} k > w = {w:g}")
     return np.sqrt(k * k - w * w)
@@ -166,7 +166,7 @@ def _single_peak_lines(cfg: PhysicalConfig, what: str) -> dict:
     the stationary-phase reading, deliberately uncorrected, fixed by one theta'(k0).  The
     operand orders keep the per-component formulas' values (docs/DECISIONS.md, D15)."""
     k0, m, L, x0 = cfg.k0, cfg.m, cfg.L, cfg.x0
-    v_k, v_q = k0 / m, float(_above_momentum(k0, cfg.w, what)) / m
+    v_k, v_q = k0 / m, _above_momentum(k0, cfg.w, what) / m
     dtheta = above_barrier_phase_derivative(k0, cfg)
     delay = -(x0 - dtheta) / v_k
     return {"incident": (x0, 0.0, v_k), "reflected": (-x0 + dtheta, 0.0, -v_k),
@@ -279,7 +279,7 @@ def multipeak_coeffs(k: float, cfg: PhysicalConfig, eps: float = 1e-12) -> Multi
     """
     if eps <= 0.0:
         raise ValueError("tail tolerance eps must be positive")
-    q = float(_above_momentum(k, cfg.w, "multipeak decomposition needs"))
+    q = _above_momentum(k, cfg.w, "multipeak decomposition needs")
     r, R1, a1, b1, T1, R2 = _bounce_first_terms(k, q, cfg.L)
     mod_r = abs(r)
     first = max(abs(R1), abs(R2), abs(a1), abs(b1), abs(T1))

@@ -345,7 +345,7 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t,
 
 def _series_basics(cfg: PhysicalConfig):
     k0, w, L = cfg.k0, cfg.w, cfg.L
-    q0 = float(_above_momentum(k0, w, "the bounce series needs"))
+    q0 = _above_momentum(k0, w, "the bounce series needs")
     u = (k0 - q0) / (k0 + q0)
     step = u * np.exp(-1j * (w * w / q0) * L)   # per-half-bounce factor; terms carry step^(2n)
     return k0, q0, w, L, u, step
@@ -446,7 +446,7 @@ def series_validity(cfg: PhysicalConfig) -> ValidityReport:
     spread of the packet: (k0/q0) (L/a) < pi.  margin is pi minus that
     product (always pi at L = 0).
     """
-    q0 = float(_above_momentum(cfg.k0, cfg.w, "series validity needs"))
+    q0 = _above_momentum(cfg.k0, cfg.w, "series validity needs")
     if cfg.L == 0.0:
         return ValidityReport(valid=True, margin=math.pi)
     spread = (cfg.k0 / q0) * (cfg.L / cfg.a)
@@ -457,8 +457,8 @@ def series_validity(cfg: PhysicalConfig) -> ValidityReport:
 # stationary-phase peak predictors (the naive single-peak reading)
 # ---------------------------------------------------------------------------
 
-def spm_peak_prediction(tag: str, t: float, cfg: PhysicalConfig) -> float:
-    """Naive stationary-phase peak position of one component at time t.
+def spm_peak_prediction(tag: str, t, cfg: PhysicalConfig):
+    """Naive stationary-phase peak position of one component at time t (a number or an array).
 
     These predictions deliberately reproduce the single-peak reading of the
     scattered phases, discontinuities included; the bounce series is the

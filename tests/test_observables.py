@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -550,6 +551,13 @@ class TestOneWayDomain:
     def test_n_outside_zero_one_refused(self, n):
         with pytest.raises(ZoneError, match=r"0 < n <= 1"):
             nr_one_way_rate(n, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-170, 1e-160])
+    def test_barrier_top_edge_has_a_number(self, alpha):
+        # at n = 1 the rate is 2 p/q, 4/3 at alpha = 0, also where m = alpha^2 underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nr_one_way_rate(1.0, alpha) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
 class TestRelativisticPhaseTime:
