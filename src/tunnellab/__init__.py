@@ -12,10 +12,7 @@ from .core import (
     GaussianSpectrum,
     PhysicalConfig,
     ZoneError,
-    classical_traversal_time,
     energy,
-    group_velocity,
-    to_dimensionless,
 )
 from .stationary import Parity, ScatterCoeffs
 
@@ -28,9 +25,6 @@ __all__ = [
     "PhysicalConfig",
     "ScatterCoeffs",
     "ZoneError",
-    "classical_traversal_time",
     "energy",
-    "group_velocity",
-    "to_dimensionless",
     "__version__",
 ]

@@ -1,5 +1,6 @@
-"""Physical configuration, dispersion relations, dimensionless parameters,
-and the Gaussian momentum spectrum.
+"""Physical configuration, dispersion relations, the relativistic tunneling
+zone in its dimensionless form (n^2, upsilon), and the Gaussian momentum
+spectrum.
 
 Natural units throughout: hbar = c = 1.  A configuration fixes the barrier
 (height V0, width L), the particle mass m, the incident Gaussian packet
@@ -21,16 +22,11 @@ __all__ = [
     "Dispersion",
     "ZoneError",
     "PhysicalConfig",
-    "DimensionlessParams",
     "GaussianSpectrum",
     "GAUSS_WINDOW_HALFWIDTH",
     "energy",
-    "group_velocity",
-    "kg_zone",
     "evanescent_rate",
     "rho_n_squared",
-    "to_dimensionless",
-    "classical_traversal_time",
     "momentum_window",
 ]
 
@@ -116,17 +112,6 @@ class PhysicalConfig:
                 f"above-barrier configuration requires k0 > w = {cfg.w:g}; got k0 = {k0:g}")
         return cfg
 
-    @classmethod
-    def kg_tunneling(cls, *, m: float, V0: float, L: float, a: float, k0: float,
-                     x0: float = 0.0) -> "PhysicalConfig":
-        """Klein-Gordon setup with k0 inside the evanescent zone |E - V0| < m."""
-        cfg = cls(m, V0, L, a, k0, x0, Dispersion.RELATIVISTIC_KG)
-        if kg_zone(k0, cfg) != "tunneling":
-            E = energy(k0, cfg)
-            raise ZoneError(
-                f"relativistic tunneling requires |E - V0| < m; got E - V0 = {E - V0:g}")
-        return cfg
-
 
 @_numeric()
 def energy(k, cfg: PhysicalConfig):
@@ -136,29 +121,6 @@ def energy(k, cfg: PhysicalConfig):
     if cfg.dispersion is Dispersion.NONRELATIVISTIC:
         return k * k / (2.0 * cfg.m)
     return np.sqrt(k * k + cfg.m * cfg.m)
-
-
-@_numeric()
-def group_velocity(k, cfg: PhysicalConfig):
-    """dE/dk; equals k/m (NR) or k/E (relativistic, always < 1).  NaN is refused."""
-    if not (k > 0.0).all():
-        raise ZoneError("group velocity needs k > 0")
-    if cfg.dispersion is Dispersion.NONRELATIVISTIC:
-        return k / cfg.m
-    return k / np.sqrt(k * k + cfg.m * cfg.m)
-
-
-def kg_zone(k: float, cfg: PhysicalConfig) -> str:
-    """Relativistic zone by incident energy: 'klein', 'tunneling', 'above' or a boundary."""
-    E = energy(k, cfg)
-    lo, hi = cfg.V0 - cfg.m, cfg.V0 + cfg.m
-    if E < lo:
-        return "klein"
-    if E > hi:
-        return "above"
-    if E == lo or E == hi:
-        return "boundary"
-    return "tunneling"
 
 
 @_numeric()
@@ -214,39 +176,6 @@ def _check_rel_zone(n_sq, upsilon: float) -> None:
 
 
 @dataclass(frozen=True)
-class DimensionlessParams:
-    """Dimensionless parameterization (n^2, upsilon, wL) of a configuration.
-
-    alpha_opacity = wL * sqrt(1 - n^2) is only defined below the barrier
-    (n^2 < 1); rho_n is only defined inside the tunneling zone.  Outside
-    those zones the fields are None.
-    """
-
-    n_sq: float
-    upsilon: float
-    wL: float
-    alpha_opacity: float | None
-    rho_n: float | None
-
-
-def to_dimensionless(cfg: PhysicalConfig) -> DimensionlessParams:
-    """Reduce a configuration to (n^2 = k0^2/w^2, upsilon, wL) plus derived rates.
-
-    upsilon is V0/m for the relativistic dispersion and 0 for the
-    non-relativistic one, which is the upsilon -> 0 member of the same family.
-    """
-    w = cfg.w
-    n_sq = cfg.k0 * cfg.k0 / (w * w)
-    upsilon = cfg.V0 / cfg.m if cfg.dispersion is Dispersion.RELATIVISTIC_KG else 0.0
-    wL = w * cfg.L
-    alpha = wL * math.sqrt(1.0 - n_sq) if n_sq < 1.0 else None
-    rn_sq = rho_n_squared(n_sq, upsilon)
-    rho_n = math.sqrt(rn_sq) if rn_sq >= 0.0 else None
-    return DimensionlessParams(n_sq=n_sq, upsilon=upsilon, wL=wL,
-                               alpha_opacity=alpha, rho_n=rho_n)
-
-
-@dataclass(frozen=True)
 class GaussianSpectrum:
     """Gaussian momentum distribution of unit squared norm."""
 
@@ -261,13 +190,6 @@ class GaussianSpectrum:
     def amplitude(self, k):
         return ((self.a * self.a) / (2.0 * np.pi)) ** 0.25 * np.exp(
             -(self.a * self.a) * (k - self.k0) ** 2 / 4.0)
-
-
-def classical_traversal_time(cfg: PhysicalConfig) -> float:
-    """Ballistic barrier crossing time L / v(k0); zero for a zero-width barrier."""
-    if cfg.L == 0.0:
-        return 0.0
-    return cfg.L / group_velocity(cfg.k0, cfg)
 
 
 def momentum_window(cfg: PhysicalConfig, lower: float | None = None,

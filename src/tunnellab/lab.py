@@ -421,9 +421,8 @@ def _run_table1(config: dict, sweep) -> list[ResultTable]:
     )]
 
 
-def _run_nr_phase(config: dict, sweep: Sweep | None) -> list[ResultTable]:
-    alphas = sweep.values() if sweep else np.linspace(config["alpha_min"], config["alpha_max"],
-                                                      config["alpha_steps"])
+def _run_nr_phase(config: dict, sweep) -> list[ResultTable]:
+    alphas = np.linspace(config["alpha_min"], config["alpha_max"], config["alpha_steps"])
     # one (n x alpha) grid per rate; the symmetric rates check 0 < n < 1 and alpha >= 0 first
     ns = np.asarray(config["n_values"], dtype=float)[:, None]
     boson = symmetric_phase_time(ns, alphas, Parity.SYMMETRIC)
@@ -446,10 +445,9 @@ def _run_nr_phase(config: dict, sweep: Sweep | None) -> list[ResultTable]:
     ]
 
 
-def _run_symmetric_times(config: dict, sweep: Sweep | None) -> list[ResultTable]:
+def _run_symmetric_times(config: dict, sweep) -> list[ResultTable]:
     wL = config["wL"]
-    ns = sweep.values() if sweep else np.linspace(config["n_min"], config["n_max"],
-                                                  config["n_steps"])
+    ns = np.linspace(config["n_min"], config["n_max"], config["n_steps"])
     alpha = wL * np.sqrt(1.0 - ns)
     columns = [ns, alpha]
     for parity in (Parity.SYMMETRIC, Parity.ANTISYMMETRIC):
@@ -560,11 +558,11 @@ _SCHEMA: dict[str, _Scenario] = {
         {"n_values": ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], "(0, 1)"),
          "alpha_min": (0.05, "[0, inf)"), "alpha_max": (30.0, "(alpha_min, inf)"),
          "alpha_steps": (120, _STEPS), "saturation_tol": (1e-6, _POSITIVE)},
-        work=("n_values", "alpha_steps", 6), sweep=("alpha", "alpha_steps"), run=_run_nr_phase),
+        work=("n_values", "alpha_steps", 6), run=_run_nr_phase),
     "symmetric-times": _Scenario(
         {"wL": (4.0 * math.pi, _WL), "n_min": (0.02, "(0, 1)"), "n_max": (0.98, "(n_min, 1)"),
          "n_steps": (97, _STEPS)},
-        work=("n_steps", 11), sweep=("n", "n_steps"), run=_run_symmetric_times),
+        work=("n_steps", 11), run=_run_symmetric_times),
     "relativistic-times": _Scenario(
         {"wL": (2.0 * math.pi, _WL), "upsilon_values": ([0.0, 1.0, 2.0, 5.0, 10.0], _UPSILON),
          "n_sq_steps": (101, _STEPS), "edge_margin": (1e-3, "[0, 1)")},
@@ -624,10 +622,7 @@ def _format_value(value) -> str:
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.9g}"
+    return f"{float(value):.9g}"
 
 
 # '%' fields that print an exact float, str or int as _format_value does

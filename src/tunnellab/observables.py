@@ -392,12 +392,22 @@ def _rel_phase_brackets(n_sq, upsilon: float, S):
     return A, B, C, D
 
 
+def _check_rel_args(upsilon: float, wL: float = 0.0) -> None:
+    """ZoneError unless upsilon >= 0, ValueError unless wL >= 0; NaN refused (D21).
+    wL = 0 is the thin-barrier limit."""
+    if not upsilon >= 0.0:
+        raise ZoneError("the relativistic family needs upsilon >= 0")
+    if not wL >= 0.0:
+        raise ValueError("wL must be >= 0")
+
+
 class _RelZone:
     """The tunneling-zone solution of one (upsilon, wL) at every n_sq, zone checked once:
     S = sqrt(1 + 2 n^2 upsilon), rho_n^2, the scaled parts of x = rho_n wL and, on first
     use, the Klein-Gordon continuity solution.  Each relativistic time is a view (D13)."""
 
     def __init__(self, n_sq: np.ndarray, upsilon: float, wL: float):
+        _check_rel_args(upsilon, wL)
         _check_rel_zone(n_sq, upsilon)
         self.n_sq, self.upsilon, self.wL = n_sq, upsilon, wL
         self.S, self.rn_sq = np.sqrt(1.0 + 2.0 * n_sq * upsilon), rho_n_squared(n_sq, upsilon)
@@ -465,12 +475,15 @@ def rel_phase_time_near_edge(n_sq, upsilon: float):
     (4/3) [(4 + 4n^2 u + u^2) S - 2u(2 + 3n^2 u)]
         / [(4 + 8n^2 u + u^2) S - 4u(1 + 2n^2 u)],  S = sqrt(1 + 2 n^2 u).
     """
+    _check_rel_args(upsilon)
+    _check_rel_zone(n_sq, upsilon)
     _, B, _, D = _rel_phase_brackets(n_sq, upsilon, np.sqrt(1.0 + 2.0 * n_sq * upsilon))
     return (2.0 / 3.0) * B / D
 
 
-def _zone_edge(upsilon: float, edge: str) -> tuple[float, int]:
+def _zone_edge(upsilon: float, edge: str, wL: float = 0.0) -> tuple[float, int]:
     """(n_sq, sign) of a tunneling-zone edge: n^2 = u/2 + sign, sign -1 (lower) or +1 (upper)."""
+    _check_rel_args(upsilon, wL)
     if edge == "lower":
         n_sq = 0.5 * upsilon - 1.0
         if n_sq <= 0.0:
@@ -497,7 +510,7 @@ def rel_transmission_zone_edge(upsilon: float, edge: str, wL: float) -> float:
     Tends to [1 + (mL)^2]^(-1/2) for upsilon >> 1: complete transmission when
     the barrier is much narrower than the Compton length.
     """
-    n_sq, _ = _zone_edge(upsilon, edge)
+    n_sq, _ = _zone_edge(upsilon, edge, wL)
     return (1.0 + wL * wL / (4.0 * n_sq)) ** -0.5   # 2 upsilon -+ 4 = 4 n^2 exactly
 
 
@@ -548,7 +561,7 @@ def rel_dwell_zone_edge(upsilon: float, edge: str, wL: float) -> tuple[float, fl
     docs/DECISIONS.md (D1) records the quoted curve (1/2)/(2n^2 +- 1) that
     this replaced and what is left open.
     """
-    n_sq, sign = _zone_edge(upsilon, edge)
+    n_sq, sign = _zone_edge(upsilon, edge, wL)
     g = 4.0 / (4.0 + n_sq * wL * wL)
     return n_sq, (g + (4.0 / 3.0) * (1.0 - g)) / (2.0 * n_sq - sign)
 

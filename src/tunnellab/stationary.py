@@ -270,15 +270,13 @@ def _bounce_first_terms(k, q, L: float):
     return r, R1, a1, b1, T1, R2
 
 
-def multipeak_coeffs(k: float, cfg: PhysicalConfig, eps: float = 1e-12) -> MultipeakSeries:
+def multipeak_coeffs(k: float, cfg: PhysicalConfig) -> MultipeakSeries:
     """Successive-bounce coefficients {R_n, alpha_n, beta_n, T_n} for k > w.
 
     First terms come from the step-by-step continuity conditions at the two
     interfaces; later terms follow the geometric ratio r.  n_max is the
-    smallest count whose geometric tail is below eps.
+    smallest count whose geometric tail is below 1e-12.
     """
-    if eps <= 0.0:
-        raise ValueError("tail tolerance eps must be positive")
     q = _above_momentum(k, cfg.w, "multipeak decomposition needs")
     r, R1, a1, b1, T1, R2 = _bounce_first_terms(k, q, cfg.L)
     mod_r = abs(r)
@@ -286,7 +284,7 @@ def multipeak_coeffs(k: float, cfg: PhysicalConfig, eps: float = 1e-12) -> Multi
     if mod_r == 0.0:
         n_max = 2
     else:
-        n_max = max(2, int(math.ceil(math.log(eps * (1.0 - mod_r) / first)
+        n_max = max(2, int(math.ceil(math.log(1e-12 * (1.0 - mod_r) / first)
                                      / math.log(mod_r))) + 1)
     n = np.arange(n_max)
     powers = r ** n

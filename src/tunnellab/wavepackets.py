@@ -447,8 +447,6 @@ def series_validity(cfg: PhysicalConfig) -> ValidityReport:
     product (always pi at L = 0).
     """
     q0 = _above_momentum(cfg.k0, cfg.w, "series validity needs")
-    if cfg.L == 0.0:
-        return ValidityReport(valid=True, margin=math.pi)
     spread = (cfg.k0 / q0) * (cfg.L / cfg.a)
     return ValidityReport(valid=spread < math.pi, margin=math.pi - spread)
 

@@ -118,7 +118,7 @@ def test_c02_double_conservation():
         k = 1.0 + 10.0 ** rng.uniform(-2.5, 0.7)
         wL = 10.0 ** rng.uniform(-1.0, 1.0)
         cfg = PhysicalConfig.above_barrier(m=1.0, V0=0.5, L=wL, a=1.0, k0=k)
-        series = multipeak_coeffs(k, cfg, eps=1e-12)
+        series = multipeak_coeffs(k, cfg)
         s_incoherent = float(np.sum(np.abs(series.R_terms) ** 2)
                              + np.sum(np.abs(series.T_terms) ** 2))
         s_coherent = abs(np.sum(series.R_terms)) ** 2 + abs(np.sum(series.T_terms)) ** 2

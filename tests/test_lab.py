@@ -75,18 +75,18 @@ class TestParseConfig:
 
     def test_sweep_bounds_ordered(self):
         with pytest.raises(ConfigError, match="min < max"):
-            parse_config('{"sweep": {"parameter": "alpha", "min": 2, "max": 1, "steps": 5}}',
-                         scenario="nr-phase")
+            parse_config('{"sweep": {"parameter": "t", "min": 2, "max": 1, "steps": 5}}',
+                         scenario="free-packet")
 
     def test_sweep_steps_minimum(self):
         with pytest.raises(ConfigError, match="steps"):
-            parse_config('{"sweep": {"parameter": "alpha", "min": 1, "max": 2, "steps": 1}}',
-                         scenario="nr-phase")
+            parse_config('{"sweep": {"parameter": "n_sq", "min": 1, "max": 2, "steps": 1}}',
+                         scenario="relativistic-times")
 
     def test_sweep_parameter_checked(self):
         with pytest.raises(ConfigError, match="sweeps over"):
             parse_config('{"sweep": {"parameter": "beta", "min": 1, "max": 2, "steps": 5}}',
-                         scenario="nr-phase")
+                         scenario="free-packet")
         with pytest.raises(ConfigError, match="does not accept"):
             parse_config('{"sweep": {"parameter": "alpha", "min": 1, "max": 2, "steps": 5}}',
                          scenario="table1")
@@ -175,7 +175,7 @@ class TestTable1WorkBound:
 
 
 _MALFORMED = [
-    # (scenario, config file, key named on stderr)
+    # (scenario, config file, the key or refusal named on stderr)
     ("free-packet", {"config": {"n_x": [1, 2]}}, "n_x"),
     ("free-packet", {"config": {"n_x": 2.7}}, "n_x"),
     ("nr-phase", {"config": {"alpha_steps": 0}}, "alpha_steps"),
@@ -183,8 +183,15 @@ _MALFORMED = [
     ("relativistic-times", {"config": {"wL": 1e308}}, "wL"),
     ("table1", {"config": {"L_over_a_min": "a", "L_over_a_max": "b"}}, "L_over_a_min"),
     ("table1", {"config": {"L_over_a_step": 1e-9}}, "L_over_a_step"),
-    ("nr-phase", {"sweep": {"parameter": "alpha", "min": "a", "max": 2, "steps": 5}}, "min"),
-    ("nr-phase", {"sweep": {"parameter": "alpha", "min": 1, "max": 2, "steps": 2.7}}, "steps"),
+    ("relativistic-times", {"sweep": {"parameter": "n_sq", "min": "a", "max": 2, "steps": 5}},
+     "min"),
+    ("relativistic-times", {"sweep": {"parameter": "n_sq", "min": 1, "max": 2, "steps": 2.7}},
+     "steps"),
+    # the alpha_* and n_* keys already set the axis a sweep would set
+    ("nr-phase", {"sweep": {"parameter": "alpha", "min": 1, "max": 2, "steps": 5}},
+     "does not accept a sweep"),
+    ("symmetric-times", {"sweep": {"parameter": "n", "min": 0.1, "max": 0.9, "steps": 5}},
+     "does not accept a sweep"),
     ("free-packet", {"config": {"t_steps": "9"}}, "t_steps"),
     ("hartman", {"config": {"upsilon": -1}}, "upsilon"),
     ("multipeak", {"config": {"k0_over_w": "2"}}, "k0_over_w"),

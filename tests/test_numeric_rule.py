@@ -18,7 +18,6 @@ from tunnellab.core import (
     PhysicalConfig,
     energy,
     evanescent_rate,
-    group_velocity,
     rho_n_squared,
 )
 from tunnellab.wavepackets import free_gaussian
@@ -67,7 +66,6 @@ def opacity(rng):
 _CASES = {
     "energy": (above, lambda cfg, k: energy(k, cfg)),
     "energy-kg": (kg, lambda cfg, k: energy(k, cfg)),
-    "group_velocity": (tunnel, lambda cfg, k: group_velocity(k, cfg)),
     "evanescent_rate": (kg, lambda cfg, k: evanescent_rate(k, cfg)),
     "rho_n_squared": (zone, lambda ctx, n_sq: rho_n_squared(n_sq, ctx[0])),
     "GaussianSpectrum.amplitude":

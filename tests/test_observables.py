@@ -604,6 +604,46 @@ class TestRelativisticPhaseTime:
             rel_phase_time(0.4, 5.0, 1.0)
 
 
+class TestRelativisticDomain:
+    """Every relativistic time, the transmission and the zone-edge laws refuse
+    upsilon < 0 and NaN upsilon (ZoneError) and wL < 0 and NaN wL (ValueError)."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (rel_phase_time, (0.1, -0.5, 1.0)),
+        (relativistic_transmission, (0.1, -0.5, 1.0)),
+        (rel_phase_time_near_edge, (0.1, -0.5)),
+        (rel_phase_time_zone_edge, (-10.0, "upper")),
+        (rel_transmission_zone_edge, (-10.0, "upper", 2.0 * math.pi)),
+        (rel_dwell_zone_edge, (-10.0, "upper", 1.0)),
+        (rel_dwell, (0.5, math.nan, 1.0)),
+        (rel_phase_time_near_edge, (0.5, math.nan)),
+        (rel_phase_time_zone_edge, (math.nan, "upper")),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_negative_or_nan_upsilon_refused(self, fn, args):
+        with pytest.raises(ZoneError, match="upsilon >= 0"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn, args", [
+        (rel_dwell, (0.5, 1.0, -2.0)),
+        (rel_phase_time, (0.5, 1.0, math.nan)),
+        (rel_transmission_zone_edge, (5.0, "upper", math.nan)),
+        (rel_dwell_zone_edge, (5.0, "lower", -1.0)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_negative_or_nan_width_refused(self, fn, args):
+        with pytest.raises(ValueError, match="wL must be >= 0"):
+            fn(*args)
+
+    def test_near_edge_law_checks_the_zone(self):
+        with pytest.raises(ZoneError, match="outside the relativistic tunneling zone"):
+            rel_phase_time_near_edge(5.0, 1.0)
+
+    def test_thin_barrier_limit_kept(self):
+        # wL = 0 is the limit the thin-barrier values are quoted at
+        assert rel_transmission_zone_edge(5.0, "upper", 0.0) == 1.0
+        assert rel_dwell_zone_edge(5.0, "lower", 0.0) == (1.5, 0.25)
+        assert math.isfinite(rel_phase_time(0.5, 1.0, 0.0))
+
+
 def interior_dwell_quadrature(n_sq, upsilon, wL, scaled):
     """(m/k) int |phi_2|^2 / tau by 160-node Gauss-Legendre over the interior
     field of the continuity solution, normalized by the barrier-scale

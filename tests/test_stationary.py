@@ -7,7 +7,7 @@ import pytest
 
 from oracles import central_difference, transfer_matrix_amplitudes
 
-from tunnellab.core import PhysicalConfig, ZoneError, evanescent_rate
+from tunnellab.core import Dispersion, PhysicalConfig, ZoneError, evanescent_rate
 from tunnellab.observables import nr_phase_time
 from tunnellab.stationary import (
     Parity,
@@ -236,7 +236,7 @@ class TestMultipeak:
 
     def test_partial_conservation_converges(self):
         cfg = above_cfg(L=1.0)
-        series = multipeak_coeffs(1.3, cfg, eps=1e-14)
+        series = multipeak_coeffs(1.3, cfg)
         partial = np.cumsum(np.abs(series.R_terms) ** 2 + np.abs(series.T_terms) ** 2)
         assert abs(partial[-1] - 1.0) < 1e-10
         deviation = np.abs(partial - 1.0)
@@ -245,16 +245,12 @@ class TestMultipeak:
 
     def test_tail_bound_dominates_dropped_terms(self):
         cfg = above_cfg(L=1.0)
-        series = multipeak_coeffs(1.2, cfg, eps=1e-8)
+        series = multipeak_coeffs(1.2, cfg)
         r = series.ratio
         nxt = max(abs(series.R_terms[-1] * r), abs(series.T_terms[-1] * r),
                   abs(series.alpha_terms[-1] * r), abs(series.beta_terms[-1] * r))
         assert series.tail_bound >= nxt
-        assert series.tail_bound < 1e-8 * 10  # tolerance-driven truncation
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            multipeak_coeffs(1.5, above_cfg(), eps=0.0)
+        assert series.tail_bound < 1e-12 * 10  # tolerance-driven truncation
 
     def test_sums_reproduce_one_shot(self):
         cfg = above_cfg(L=2.7)
@@ -428,7 +424,8 @@ class TestRelativisticTransmission:
         assert T_mag > 0.9999
 
     def test_kg_continuity_solution(self):
-        cfg = PhysicalConfig.kg_tunneling(m=1.0, V0=5.0, L=0.7, a=1.0, k0=math.sqrt(20.0))
+        cfg = PhysicalConfig(m=1.0, V0=5.0, L=0.7, a=1.0, k0=math.sqrt(20.0),
+                             dispersion=Dispersion.RELATIVISTIC_KG)
         sc = kg_scatter_coeffs(cfg.k0, cfg)
         assert abs(sc.R) ** 2 + abs(sc.T) ** 2 == pytest.approx(1.0, abs=1e-12)
         rho = evanescent_rate(cfg.k0, cfg)
@@ -451,8 +448,8 @@ class TestRelativisticTransmission:
             n_sq = np.linspace(max(0.5 * upsilon - 1.0, 0.0), 0.5 * upsilon + 1.0, 203)[1:-1]
             ks = np.sqrt(n_sq) * w
             for wL in (0.1, 2.0 * math.pi, 40.0, 800.0):
-                cfg = PhysicalConfig.kg_tunneling(m=1.0, V0=upsilon, L=wL / w, a=1.0,
-                                                  k0=float(ks[0]))
+                cfg = PhysicalConfig(m=1.0, V0=upsilon, L=wL / w, a=1.0, k0=float(ks[0]),
+                                     dispersion=Dispersion.RELATIVISTIC_KG)
                 sc = kg_scatter_coeffs(ks, cfg)
                 assert np.max(np.abs(np.abs(sc.R) ** 2 + np.abs(sc.T) ** 2 - 1.0)) < 1e-12
                 rho = evanescent_rate(ks, cfg)
