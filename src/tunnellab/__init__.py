@@ -5,26 +5,10 @@ quadrature, the multiple-peak (bounce) decomposition of above-barrier
 scattering, and the full family of transit-time observables (phase, dwell,
 self-interference, re-scaled dwell) for non-relativistic and relativistic
 (Klein-Gordon) dispersion.  Natural units, hbar = c = 1.
+Each name is imported from its module (``tunnellab.core``, ...): the package
+imports none, so importing it loads no numpy (D22).
 """
-
-from .core import (
-    Dispersion,
-    GaussianSpectrum,
-    PhysicalConfig,
-    ZoneError,
-    energy,
-)
-from .stationary import Parity, ScatterCoeffs
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dispersion",
-    "GaussianSpectrum",
-    "Parity",
-    "PhysicalConfig",
-    "ScatterCoeffs",
-    "ZoneError",
-    "energy",
-    "__version__",
-]
+__all__ = ["__version__"]

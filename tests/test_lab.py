@@ -21,7 +21,7 @@ from oracles import (
     reference_symmetric_times_rows,
 )
 import tunnellab
-from tunnellab import cli, lab, observables, stationary
+from tunnellab import cli, lab, observables, schema, stationary
 from tunnellab.cli import main
 from tunnellab.lab import (
     SCENARIO_NAMES,
@@ -112,7 +112,7 @@ class TestTable1WorkBound:
         return {**lab.scenario_defaults("table1"), **overrides}
 
     def test_default_grid(self):
-        assert lab._table1_rows(self.config()) == 21
+        assert schema._table1_rows(self.config()) == 21
 
     def test_no_row_past_L_over_a_max(self):
         # the span is 3.6 steps: the last row is at L/a = 0.9, none at 1.2
@@ -122,18 +122,18 @@ class TestTable1WorkBound:
         (table,) = run_scenario(spec)
         assert [row[1] for row in table.rows] == pytest.approx([0.0, 0.3, 0.6, 0.9])
         # a span integral up to rounding keeps its last row: (0.7 - 0.1) / 0.2 < 3
-        assert lab._table1_rows(self.config(L_over_a_min=0.1, L_over_a_max=0.7,
-                                            L_over_a_step=0.2)) == 4
+        assert schema._table1_rows(self.config(L_over_a_min=0.1, L_over_a_max=0.7,
+                                               L_over_a_step=0.2)) == 4
 
     def test_limit_is_inclusive(self):
-        limit = lab._TABLE1_MAX_CELLS
+        limit = schema._TABLE1_MAX_CELLS
         at = self.config(wa_values=[1.0], L_over_a_min=0.0, L_over_a_max=limit - 1.0,
                          L_over_a_step=1.0)
-        assert lab._table1_rows(at) == limit
+        assert schema._table1_rows(at) == limit
         with pytest.raises(ConfigError, match="L_over_a_step"):
-            lab._table1_rows({**at, "L_over_a_max": float(limit)})
+            schema._table1_rows({**at, "L_over_a_max": float(limit)})
         with pytest.raises(ConfigError, match="L_over_a_step"):
-            lab._table1_rows({**at, "wa_values": [1.0, 2.0]})
+            schema._table1_rows({**at, "wa_values": [1.0, 2.0]})
 
     def test_tiny_step_rejected_at_parse(self):
         text = json.dumps({"config": {"L_over_a_step": 1e-9}})
@@ -149,11 +149,11 @@ class TestTable1WorkBound:
         for span in ((-1e308, 1e308), (0.0, 1e308)):
             config = self.config(L_over_a_min=span[0], L_over_a_max=span[1], L_over_a_step=1e-300)
             with pytest.raises(ConfigError, match="gives inf rows"):
-                lab._table1_rows(config)
+                schema._table1_rows(config)
 
     def test_runner_checks_the_bound(self, monkeypatch):
         spec = parse_config("{}", scenario="table1")
-        monkeypatch.setattr(lab, "_TABLE1_MAX_CELLS", 100)
+        monkeypatch.setattr(schema, "_TABLE1_MAX_CELLS", 100)
         with pytest.raises(ConfigError, match="gives 21 rows x 7 wa_values"):
             run_scenario(spec)
 
@@ -244,21 +244,30 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("name", lab.SCENARIO_NAMES)
     def test_work_limit_is_100_times_the_default_work(self, name):
-        work = lab._work(name, lab.scenario_defaults(name))
-        assert 0 < 100 * work <= lab._MAX_POINTS
+        work = schema._work(name, lab.scenario_defaults(name))
+        assert 0 < 100 * work <= schema._MAX_POINTS
 
     def test_table1_limit_is_100_times_the_default_grid(self):
         config = lab.scenario_defaults("table1")
-        assert 100 * lab._table1_rows(config) * len(config["wa_values"]) <= lab._TABLE1_MAX_CELLS
+        assert 100 * schema._table1_rows(config) * len(config["wa_values"]) \
+            <= schema._TABLE1_MAX_CELLS
 
     def test_sweep_steps_replace_the_steps_key(self):
         sweep = lab.Sweep("n_sq", 0.1, 0.9, 7)
         config = lab.scenario_defaults("relativistic-times")
-        assert lab._work("relativistic-times", config) == 5 * 101 * 160
-        assert lab._work("relativistic-times", config, sweep) == 5 * 7 * 160
+        assert schema._work("relativistic-times", config) == 5 * 101 * 160
+        assert schema._work("relativistic-times", config, sweep) == 5 * 7 * 160
         # an empty list still builds the steps grid
-        assert lab._work("nr-phase", {**lab.scenario_defaults("nr-phase"), "n_values": []}) \
+        assert schema._work("nr-phase", {**lab.scenario_defaults("nr-phase"), "n_values": []}) \
             == 120 * 6
+
+    def test_relativistic_work_weight_is_the_quadrature_size(self):
+        # the schema holds the literal so that it imports no numpy
+        work = schema._SCHEMA["relativistic-times"].work
+        assert work == ("upsilon_values", "n_sq_steps", observables._IDENTITY_N_QUAD)
+
+    def test_every_scenario_has_a_runner(self):
+        assert sorted(lab._RUNNERS) == list(SCENARIO_NAMES)
 
     def test_oversized_sweep_refused(self):
         text = json.dumps({"sweep": {"parameter": "n_sq", "min": 0.1, "max": 0.9, "steps": 20_000}})
@@ -266,10 +275,10 @@ class TestConfigSchema:
             parse_config(text, scenario="relativistic-times")
 
     def test_wl_bound(self):
-        parse_config(json.dumps({"config": {"wL": lab._WL_MAX}}), scenario="relativistic-times")
+        parse_config(json.dumps({"config": {"wL": schema._WL_MAX}}), scenario="relativistic-times")
         # 400 is where sinh^2(rho_n wL) overflowed before the bound; at 1e3
         # the continuity amplitudes overflow
-        for wL in (400.0, 10.0 * lab._WL_MAX, 1e4, 0.0, math.inf):
+        for wL in (400.0, 10.0 * schema._WL_MAX, 1e4, 0.0, math.inf):
             for name in ("relativistic-times", "hartman", "symmetric-times"):
                 with pytest.raises(ConfigError, match="wL"):
                     parse_config(json.dumps({"config": {"wL": wL}}), scenario=name)
@@ -288,13 +297,13 @@ class TestConfigSchema:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_upsilon_runs_clean(self):
-        spec = parse_config(json.dumps({"config": {"upsilon_values": [lab._UPSILON_MAX]}}),
+        spec = parse_config(json.dumps({"config": {"upsilon_values": [schema._UPSILON_MAX]}}),
                             "relativistic-times")
         (table,) = run_scenario(spec)
         column = table.columns.index("identity_residual")
         assert table.rows
         assert max(abs(row[column]) for row in table.rows) < 1e-10
-        spec = parse_config(json.dumps({"config": {"upsilon": lab._UPSILON_MAX}}), "hartman")
+        spec = parse_config(json.dumps({"config": {"upsilon": schema._UPSILON_MAX}}), "hartman")
         assert run_scenario(spec)[0].provenance["relativistic_curve_finite"]
 
     def test_identity_residual_at_tiny_upsilon(self):
@@ -349,9 +358,10 @@ class TestConfigSchema:
     def test_widest_barrier_runs_clean(self):
         # rho_n <= 1, so rho_n wL <= wL: at the bound no sinh, cosh or exp overflows
         for name in ("relativistic-times", "hartman", "symmetric-times"):
-            (table, *_) = run_scenario(parse_config(json.dumps({"config": {"wL": lab._WL_MAX}}), name))
+            text = json.dumps({"config": {"wL": schema._WL_MAX}})
+            (table, *_) = run_scenario(parse_config(text, name))
             assert table.rows
-        spec = parse_config(json.dumps({"config": {"wL": lab._WL_MAX,
+        spec = parse_config(json.dumps({"config": {"wL": schema._WL_MAX,
                                                    "upsilon_values": [0.01, 1.0, 5.0]}}),
                             "relativistic-times")
         (table,) = run_scenario(spec)
@@ -468,6 +478,21 @@ class TestRunScenarios:
         assert table.provenance["scenario"] == "symmetric-times"
         assert table.provenance["config.n_steps"] == 5
         assert "version" in table.provenance
+
+    @pytest.mark.parametrize("scenario, sweep, replaced", [
+        ("relativistic-times", {"parameter": "n_sq", "min": 0.5, "max": 5.5, "steps": 51},
+         ["edge_margin", "n_sq_steps"]),
+        ("free-packet", {"parameter": "t", "min": 0.0, "max": 2.0, "steps": 5},
+         ["t_max", "t_steps"])], ids=["relativistic-times", "free-packet"])
+    def test_sweep_provenance_omits_the_keys_it_replaces(self, scenario, sweep, replaced,
+                                                          tmp_path):
+        spec = parse_config(json.dumps({"sweep": sweep}), scenario=scenario)
+        (path,) = emit_tables(run_scenario(spec), str(tmp_path / "out"))
+        keys = [line.split(" = ")[0][len("# config."):]
+                for line in path.read_text().splitlines() if line.startswith("# config.")]
+        assert keys == sorted(set(lab.scenario_defaults(scenario)) - set(replaced))
+        assert (f"# sweep = {sweep['parameter']}:{float(sweep['min'])}:{float(sweep['max'])}"
+                f":{sweep['steps']}") in path.read_text().splitlines()
 
     def test_free_packet_sweep(self):
         spec = parse_config(json.dumps({
@@ -748,6 +773,26 @@ class TestCli:
         assert "Traceback" not in done.stderr
         assert "invalid configuration for scenario 'multipeak'" in done.stderr
         assert list(tmp_path.glob("out*")) == []
+
+    # each step runs in a fresh interpreter; a scenario run after it loads numpy
+    @pytest.mark.parametrize("step", [
+        "for name in cli.SCENARIO_NAMES:\n    cli.parse_config('{}', name)",
+        "assert cli.main(['list']) == 0",
+        "try:\n    cli.main(['--help'])\nexcept SystemExit as exc:\n    assert exc.code == 0",
+        "assert cli.main(['run', 'table1', '--config', 'bad.json']) == 2"],
+        ids=["parse-every-default", "list", "help", "refused-config"])
+    def test_numpy_loads_only_when_a_scenario_runs(self, step, tmp_path):
+        (tmp_path / "bad.json").write_text('{"config": {"wa_values": [0]}}')
+        script = "\n".join([
+            "import sys", "from tunnellab import cli", step,
+            "assert 'numpy' not in sys.modules, 'numpy was loaded'",
+            "assert cli.main(['run', 'free-packet', '--out', 'fp', '--no-timestamp']) == 0",
+            "assert 'numpy' in sys.modules"])
+        src = str(Path(tunnellab.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "fp_free_packet.csv").read_text().startswith("# scenario = free-packet")
 
     def test_successive_calls_start_fresh(self, tmp_path, capsys):
         # the parser is built once per process; each call reads only its own arguments
