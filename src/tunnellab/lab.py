@@ -46,7 +46,7 @@ from .wavepackets import (
     free_gaussian,
     free_gaussian_peak,
     multipeak_partial_sum_field,
-    propagate_component,
+    propagate_components,
     spm_peak_prediction,
 )
 
@@ -200,12 +200,11 @@ def _run_confront(config: dict, sweep) -> list[ResultTable]:
     grids = _bounce_regions(cfg, q0, config, 20.0, 51)
     sample_stride = max(1, n_x // 80)
 
-    found = {}
-    for tag, grid in grids.items():   # one quadrature and one series per component
-        numeric = propagate_component(tag, grid, snapshots, cfg)
+    found, numerics = {}, propagate_components(grids, snapshots, cfg)   # one quadrature per k, q
+    for tag, grid in grids.items():   # and one series per component
         analytic = multipeak_partial_sum_field(tag, n_terms, grid, snapshots, cfg)
         xs = grid.x[::sample_stride].tolist()
-        for idx, (t, num, ana) in enumerate(zip(snapshots, numeric, analytic)):
+        for idx, (t, num, ana) in enumerate(zip(snapshots, numerics.pop(tag), analytic)):
             d_ana, d_num = ana.density(), num.density()
             pairs = [(idx, t, tag, *cells) for cells in zip(
                 xs, d_ana[::sample_stride].tolist(), d_num[::sample_stride].tolist())]

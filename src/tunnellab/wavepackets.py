@@ -36,6 +36,7 @@ __all__ = [
     "free_gaussian",
     "free_gaussian_peak",
     "propagate_component",
+    "propagate_components",
     "propagate_tunnel_transmitted",
     "multipeak_term_field",
     "multipeak_partial_sum_field",
@@ -152,86 +153,108 @@ def free_gaussian_peak(t: float, cfg: PhysicalConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def _require_region(tag: str, grid: SpatialGrid, cfg: PhysicalConfig) -> None:
-    tol = _REGION_TOL * max(1.0, abs(grid.x_max), abs(grid.x_min), cfg.L)
-    if tag in ("incident", "reflected"):
-        ok = grid.x_max <= tol
-        region = "x <= 0"
-    elif tag in ("alpha", "beta"):
-        ok = grid.x_min >= -tol and grid.x_max <= cfg.L + tol
-        region = "0 <= x <= L"
-    elif tag == "transmitted":
-        ok = grid.x_min >= cfg.L - tol
-        region = "x >= L"
-    else:
+    if tag not in COMPONENT_TAGS:
         raise ValueError(f"unknown component tag {tag!r}; expected one of {COMPONENT_TAGS}")
-    if not ok:
+    lo, hi, region = {"alpha": (0.0, cfg.L, "0 <= x <= L"), "beta": (0.0, cfg.L, "0 <= x <= L"),
+                      "transmitted": (cfg.L, math.inf, "x >= L")}.get(tag, (-math.inf, 0.0, "x <= 0"))
+    tol = _REGION_TOL * max(1.0, abs(grid.x_max), abs(grid.x_min), cfg.L)
+    if grid.x_min < lo - tol or grid.x_max > hi + tol:
         raise ValueError(f"grid [{grid.x_min:g}, {grid.x_max:g}] lies outside the "
                          f"{tag!r} region ({region}, L = {cfg.L:g})")
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: the FFT lengths pocketfft transforms fastest."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best, p = min(best, p << (-(-n // p) - 1).bit_length()), 3 * p
+        p5 *= 5
+    return best
+
+
 def _chirp_sum(amp: np.ndarray, k_start: float, dk: float, xs: np.ndarray, dx: float,
-               sign: float) -> np.ndarray:
+               sign: float, plans: dict | None = None) -> np.ndarray:
     """sum_j amp[..., j] e^{i sign (k_start + j dk) x_l} on the uniform grid xs (spacing dx).
 
     Bluestein's chirp-z transform: j l = (j^2 + l^2 - (l - j)^2) / 2 makes the
     sum a convolution with the chirp e^{-i c m^2 / 2}, c = sign dk dx, done by
     FFT in O((n_k + n_x) log) operations.  The chirp phase c r^2 / 2 (|r| <
-    max(n_k, n_x)) is of the size of a direct sum's k x; k_start x is
-    exponentiated alone.  Every row of amp is summed by one FFT pair along the
-    last axis, against one FFT of the chirp.
+    the FFT length) is of the size of a direct sum's k x; k_start x is
+    exponentiated alone.  Each row of amp takes one FFT pair of the smallest
+    5-smooth length with no wrap-around.  `plans` keeps the chirp's FFT and
+    phases by (c, FFT length, xs[0], n_x) for the sums of one spacing dk.
     """
     n_k, n_x = amp.shape[-1], xs.size
-    c = sign * dk * dx
-    j = np.arange(n_k, dtype=float)
-    r = np.arange(max(n_k, n_x), dtype=float)
-    wave = np.exp(-0.5j * c * r * r)                     # the chirp at lags +-r
-    size = 1 << (n_k + n_x - 2).bit_length()             # no circular wrap-around
-    chirp = np.zeros(size, dtype=complex)
-    chirp[:n_x], chirp[size + 1 - n_k:] = wave[:n_x], wave[n_k - 1:0:-1]  # lag l - j mod size
-    u = amp * np.exp(1j * (sign * (j * dk) * xs[0] + 0.5 * c * j * j))
-    spectrum = np.fft.fft(u, size)
-    spectrum *= np.fft.fft(chirp)
-    conv = np.fft.ifft(spectrum, out=spectrum)[..., :n_x]   # in place: one block in memory
-    return np.exp(1j * (sign * k_start * xs)) * wave[:n_x].conj() * conv
+    c, size = sign * dk * dx, _fft_size(n_k + n_x - 1)
+    plans, key = {} if plans is None else plans, (c, size, float(xs[0]), n_x)
+    if key not in plans:
+        n_max = size + 1 - n_x                               # the most nodes this length sums
+        r = np.arange(max(n_max, n_x), dtype=float)
+        wave = np.exp(-0.5j * c * r * r)                     # the chirp at lags +-r
+        plans[key] = (np.fft.fft(np.concatenate((wave[:n_x], wave[n_max - 1:0:-1]))),  # lag l - j
+                      np.exp(1j * (sign * (r * dk) * xs[0] + 0.5 * c * r * r)), wave[:n_x].conj())
+    chirp_fft, pre_phase, post_phase = plans[key]
+    spectrum = np.zeros((*amp.shape[:-1], size), dtype=complex)
+    np.multiply(amp, pre_phase[:n_k], out=spectrum[..., :n_k])
+    spectrum = np.fft.fft(spectrum, out=spectrum)            # in place: one block in memory
+    spectrum *= chirp_fft
+    conv = np.fft.ifft(spectrum, out=spectrum)[..., :n_x]
+    return np.exp(1j * (sign * k_start * xs)) * post_phase * conv
 
 
-def _spectral_field(amplitude, times: np.ndarray, lo: float, hi: float, xs: np.ndarray,
-                    dx: float, sign: float, tol: float, n_k: int, max_n_k: int):
-    """Trapezoidal integrals of amplitude(kappa, t) e^{i sign kappa x} over [lo, hi], one per t.
+def _spectral_field(level, parts, times: np.ndarray, lo: float, hi: float, cfg: PhysicalConfig,
+                    tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K, max_n_k: int = _QUAD_MAX_N_K):
+    """Trapezoidal integrals of weight(kappa) _packet(k, t) e^{i sign kappa x} over [lo, hi].
 
-    amplitude(kappa, times) returns the (times, kappa) block; it is called
-    once per refinement level, so whatever does not depend on t is computed
-    once for all rows.  Refined by nested doubling: the sum on 2n - 1 nodes is
-    half the sum on n nodes plus the midpoint sum, so no node is evaluated
-    twice.  A row stops refining once its field changes by less than `tol`
-    everywhere, or once the grid reaches `max_n_k` nodes; the other rows
-    refine on.  The times are taken in chunks of _BLOCK_BUDGET // (FFT length
-    at max_n_k nodes) rows, at least one, so memory does not grow with the
-    number of times.  Returns (values, final node counts, converged flags),
-    one row or entry per time; a row that is never refined is not converged.
+    The parts (xs, dx, sign) share kappa; level(kappa) gives k and one weight
+    per part.  Per nested-doubling level (2n - 1 nodes: half the n-node sum
+    plus the midpoint sum), level() and the _packet rows of the times still
+    refining are evaluated once; then one part's block at a time is formed,
+    chirp-summed and refined.  A part's row stops once its field changes by
+    less than `tol`, or at `max_n_k` nodes, as it would alone.  Times go in
+    chunks of _BLOCK_BUDGET // (largest FFT length) rows, at least one.
+    Returns (values, node counts, converged flags) per part, one per time.
     """
-    n_t, n_x = times.size, xs.size
-    values = np.empty((n_t, n_x), dtype=complex)
-    levels = np.full(n_t, n_k)
-    converged = np.zeros(n_t, dtype=bool)
-    rows = max(1, _BLOCK_BUDGET // (1 << (max(n_k, max_n_k) + n_x - 2).bit_length()))
+    if not (isinstance(n_k, (int, np.integer)) and n_k >= 2):
+        raise ValueError(f"n_k must be an integer >= 2, not {n_k!r}")
+    if not isinstance(max_n_k, (int, np.integer)):
+        raise ValueError(f"max_n_k must be an integer, not {max_n_k!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, not {tol!r}")
+    n_k, max_n_k, n_t = int(n_k), int(max_n_k), times.size
+    values = [np.empty((n_t, xs.size), dtype=complex) for xs, _, _ in parts]
+    levels, converged = np.full((len(parts), n_t), n_k), np.zeros((len(parts), n_t), dtype=bool)
+    rows = max(1, _BLOCK_BUDGET // _fft_size(max(n_k, max_n_k) + max(p[0].size for p in parts) - 1))
     for start in range(0, n_t, rows):
         chunk = np.arange(start, min(start + rows, n_t))
-        h = (hi - lo) / (n_k - 1)
-        f = amplitude(np.linspace(lo, hi, n_k), times[chunk])
-        f[:, [0, -1]] *= 0.5
-        values[chunk] = h * _chirp_sum(f, lo, h, xs, dx, sign)
-        n, active = n_k, chunk
-        while n < max_n_k and active.size:
-            mid = amplitude(lo + h * (np.arange(n - 1) + 0.5), times[active])
-            previous = values[active]
-            refined = 0.5 * (previous + h * _chirp_sum(mid, lo + 0.5 * h, h, xs, dx, sign))
+        live = np.ones((len(parts), chunk.size), dtype=bool)   # the rows each part refines
+        n, h = n_k, (hi - lo) / (n_k - 1)
+        nodes, dk, plans = np.linspace(lo, hi, n_k), h, {}
+        while True:
+            first, union = nodes.size == n, live.any(axis=0)
+            k, weights = level(nodes)
+            packet = _packet(k, times[chunk[union]], cfg)
+            if first:                       # every node, the two ends by half
+                packet[:, [0, -1]] *= 0.5
+            for p in np.flatnonzero(live.any(axis=1)):      # the parts still refining
+                (xs, dx, sign), mine = parts[p], chunk[live[p]]
+                field = dk * _chirp_sum(packet[live[p][union]] * weights[p], nodes[0], dk, xs, dx,
+                                        sign, plans)
+                if not first:
+                    previous = values[p][mine]
+                    field = 0.5 * (previous + field)
+                    done = np.max(np.abs(field - previous), axis=1) < tol
+                    levels[p, mine], converged[p, mine[done]] = n, True
+                    live[p, live[p]] = ~done
+                values[p][mine] = field
+            if n >= max_n_k or not live.any():
+                break
+            plans = plans if dk == h else {}     # the spacing dk is finished
+            nodes, dk = lo + h * (np.arange(n - 1) + 0.5), h
             n, h = 2 * n - 1, 0.5 * h
-            done = np.max(np.abs(refined - previous), axis=1) < tol
-            values[active], levels[active] = refined, n
-            converged[active[done]] = True
-            active = active[~done]
-    return values, levels, converged
+    return list(zip(values, levels, converged))
 
 
 def _packet(k: np.ndarray, times: np.ndarray, cfg: PhysicalConfig) -> np.ndarray:
@@ -259,10 +282,10 @@ def _fields(grid: SpatialGrid, times: np.ndarray, single: bool, tag: str, values
     return fields[0] if single else fields
 
 
-def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
-                        *, tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K,
-                        max_n_k: int = _QUAD_MAX_N_K) -> WaveField | list[WaveField]:
-    """Propagate one scattered component by quadrature over the momentum window.
+def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig,
+                         *, tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K,
+                         max_n_k: int = _QUAD_MAX_N_K) -> dict:
+    """Propagate scattered components, {tag: grid}, by quadrature over the momentum window.
 
     The window is k0 +- 8/a clipped to the above-barrier zone (w, inf).  The
     incident, reflected and transmitted components integrate over k; the
@@ -271,46 +294,55 @@ def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
     of its coefficients at the zone edge.  The trapezoidal grid is refined by
     doubling until the field changes by less than `tol` anywhere.
 
-    `t` is one time, which gives a WaveField, or a sequence of times, which
-    gives a list of them in order.  A sequence is one quadrature: the
-    stationary coefficients are evaluated once per refinement level for all
-    times, and each time's field stops refining where it would alone.
+    `t` is one time (a WaveField per tag) or a sequence of times (a list per
+    tag).  Each momentum variable is one quadrature of its components at all
+    times, each field refined as it would be alone.
     """
     if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
         raise ZoneError("component propagation uses the non-relativistic solutions")
-    _require_region(tag, grid, cfg)
+    for tag, grid in grids.items():
+        _require_region(tag, grid, cfg)
     times, single = _times(t)
-    if cfg.L == 0.0:
-        # zero-width barrier: free propagation (R = 0, T = 1 identically)
-        if tag in ("incident", "transmitted"):
-            values = [free_gaussian(grid.x, tt, cfg) for tt in times.tolist()]
-        elif tag == "reflected":
-            values = np.zeros((times.size, grid.n_points), dtype=complex)
-        else:
+    if cfg.L == 0.0:   # zero-width barrier: free propagation (R = 0, T = 1 identically)
+        if not grids.keys() <= {"incident", "reflected", "transmitted"}:
             raise ValueError("a zero-width barrier has no interior region")
-        return _fields(grid, times, single, tag, values)
+        return {tag: _fields(grid, times, single, tag, [
+                    np.zeros(grid.n_points, dtype=complex) if tag == "reflected"
+                    else free_gaussian(grid.x, tt, cfg) for tt in times.tolist()])
+                for tag, grid in grids.items()}
     w = cfg.w
     lo, hi = momentum_window(cfg, lower=w * (1.0 + 1e-12))
-    if tag == "incident":
-        def amplitude(k, times):
-            return _packet(k, times, cfg)
-    elif tag in ("alpha", "beta"):
-        lo, hi = math.sqrt((lo - w) * (lo + w)), math.sqrt((hi - w) * (hi + w))
+    k_tags = [tag for tag in grids if tag in ("incident", "reflected", "transmitted")]
+    q_tags = [tag for tag in grids if tag in ("alpha", "beta")]
 
-        def amplitude(q, times):
-            k = np.sqrt(q * q + w * w)
-            coeffs = above_barrier_coeffs(k, cfg)
-            coef = coeffs.alpha_coef if tag == "alpha" else coeffs.beta_coef
-            return (q / k) * coef * _packet(k, times, cfg)
-    else:
-        def amplitude(k, times):
-            coeffs = above_barrier_coeffs(k, cfg)
-            return (coeffs.R if tag == "reflected" else coeffs.T) * _packet(k, times, cfg)
+    def k_level(k):
+        coeffs = above_barrier_coeffs(k, cfg) if k_tags != ["incident"] else None
+        return k, [1.0 if tag == "incident" else coeffs.R if tag == "reflected" else coeffs.T
+                   for tag in k_tags]
 
-    sign = -1.0 if tag in ("reflected", "beta") else 1.0     # e^{-ikx}, e^{-iqx}
-    return _fields(grid, times, single, tag,
-                   *_spectral_field(amplitude, times, lo, hi, grid.x, grid.spacing,
-                                    sign, tol, n_k, max_n_k))
+    def q_level(q):
+        k = np.sqrt(q * q + w * w)
+        coeffs = above_barrier_coeffs(k, cfg)
+        return k, [(q / k) * (coeffs.alpha_coef if tag == "alpha" else coeffs.beta_coef)
+                   for tag in q_tags]
+
+    found = dict.fromkeys(grids)
+    for tags, level, window in ((k_tags, k_level, (lo, hi)), (q_tags, q_level, (
+            math.sqrt((lo - w) * (lo + w)), math.sqrt((hi - w) * (hi + w))))):
+        if tags:
+            parts = [(grids[tag].x, grids[tag].spacing, -1.0 if tag in ("reflected", "beta")
+                      else 1.0) for tag in tags]     # e^{-ikx}, e^{-iqx}
+            results = _spectral_field(level, parts, times, *window, cfg, tol, n_k, max_n_k)
+            for tag, result in zip(tags, results):
+                found[tag] = _fields(grids[tag], times, single, tag, *result)
+    return found
+
+
+def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
+                        *, tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K,
+                        max_n_k: int = _QUAD_MAX_N_K) -> WaveField | list[WaveField]:
+    """One scattered component: propagate_components({tag: grid}, ...)[tag]."""
+    return propagate_components({tag: grid}, t, cfg, tol=tol, n_k=n_k, max_n_k=max_n_k)[tag]
 
 
 def propagate_tunnel_transmitted(grid: SpatialGrid, t,
@@ -318,7 +350,7 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t,
     """Transmitted packet of the tunneling geometry (barrier on [-L/2, L/2]).
 
     Quadrature of |T| e^{i theta} e^{ik(x - L/2)} over the momentum window
-    clipped to the tunneling zone (0, w), refined as in `propagate_component`
+    clipped to the tunneling zone (0, w), refined as in `propagate_components`
     at its default settings; `t` is one time or a sequence of times, as there.
     """
     if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
@@ -329,14 +361,13 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t,
     times, single = _times(t)
     lo, hi = momentum_window(cfg, lower=1e-12 * cfg.w, upper=cfg.w * (1.0 - 1e-12))
 
-    def amplitude(k, times):
+    def level(k):
         # T e^{ikL} = c e^{i theta} / cosh x, 1 / cosh x = 2 e^{-x} / (1 + e^{-2x})
         _, _, e, c, theta = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
-        return (2.0 * e / (1.0 + e * e) * c) * np.exp(1j * theta) * _packet(k, times, cfg)
+        return k, [(2.0 * e / (1.0 + e * e) * c) * np.exp(1j * theta)]
 
-    return _fields(grid, times, single, "transmitted-tunnel",
-                   *_spectral_field(amplitude, times, lo, hi, grid.x - half, grid.spacing,
-                                    1.0, _QUAD_TOL, _QUAD_N_K, _QUAD_MAX_N_K))
+    (result,) = _spectral_field(level, [(grid.x - half, grid.spacing, 1.0)], times, lo, hi, cfg)
+    return _fields(grid, times, single, "transmitted-tunnel", *result)
 
 
 # ---------------------------------------------------------------------------

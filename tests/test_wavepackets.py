@@ -3,14 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import direct_spectral_sum, trapezoid_norm
 
-from tunnellab import wavepackets
+from tunnellab import lab, wavepackets
 from tunnellab.core import GaussianSpectrum, PhysicalConfig, ZoneError
 from tunnellab.stationary import above_barrier_coeffs, tunnel_amplitude_nr
 from tunnellab.wavepackets import (
     _chirp_sum,
+    _fft_size,
     SpatialGrid,
     WaveField,
     field_norm,
@@ -20,6 +23,7 @@ from tunnellab.wavepackets import (
     multipeak_partial_sum_field,
     multipeak_term_field,
     propagate_component,
+    propagate_components,
     propagate_tunnel_transmitted,
     series_validity,
     spm_peak_prediction,
@@ -351,8 +355,16 @@ class TestQuadratureConvergence:
         assert np.max(np.abs(converged.values - finer.values)) < 1e-6
 
 
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 class TestChirpKernel:
-    @pytest.mark.parametrize("n_k, n_x", [(16385, 51), (513, 4001)])
+    # 513 + 613 - 1 = 1125 = 3^2 5^3: the FFT length with no slack for wrap-around
+    @pytest.mark.parametrize("n_k, n_x", [(16385, 51), (513, 4001), (513, 613)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("x_min, x_max", [(-60.0, 0.0), (0.0, 60.0)])
     def test_matches_direct_sum(self, n_k, n_x, sign, x_min, x_max):
@@ -369,6 +381,13 @@ class TestChirpKernel:
         ref = direct_spectral_sum(amp, ks, xs, sign)
         got = _chirp_sum(amp, lo, dk, xs, dx, sign)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @given(st.integers(1, 40000))
+    @example(1125)
+    def test_fft_length_is_the_smallest_five_smooth_one(self, n):
+        size = _fft_size(n)
+        assert size >= n and _five_smooth(size)
+        assert not any(_five_smooth(m) for m in range(n, size))
 
 
 class TestRunRecord:
@@ -448,8 +467,10 @@ class TestTimeBatches:
         assert levels == {1025, 2049, 4097}
 
     def test_work_is_shared_across_times(self, monkeypatch):
-        # per refinement level: one coefficient call, one FFT of the chirp,
-        # one FFT and one inverse FFT of the whole block
+        # one call over reflected and transmitted: per refinement level one
+        # coefficient call for both, and one FFT and one inverse FFT of each
+        # component's block; one FFT of each component's chirp per distinct
+        # spacing, as the first midpoint level sums on the spacing of the first
         counts = {"coeffs": 0, "fft": 0, "ifft": 0}
 
         def counted(name, fn):
@@ -464,11 +485,15 @@ class TestTimeBatches:
         monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
         cfg = scatter_cfg(wa=500.0)
         times = [*self.TIMES, 0.1]
-        batch = propagate_component("reflected", SpatialGrid(-30.0, 0.0, 201), times, cfg)
-        row_levels = [1 + int(math.log2((f.n_k - 1) // 512)) for f in batch]
-        assert counts == {"coeffs": max(row_levels), "fft": 2 * max(row_levels),
-                          "ifft": max(row_levels)}
-        assert max(row_levels) < sum(row_levels)    # what one call per time would make
+        grids = {"reflected": SpatialGrid(-30.0, 0.0, 201),
+                 "transmitted": SpatialGrid(cfg.L, cfg.L + 30.0, 201)}
+        batch = propagate_components(grids, times, cfg)
+        levels = {tag: [1 + int(math.log2((f.n_k - 1) // 512)) for f in fields]
+                  for tag, fields in batch.items()}
+        summed = [max(rows) for rows in levels.values()]
+        assert counts == {"coeffs": max(summed), "fft": sum(2 * n - 1 for n in summed),
+                          "ifft": sum(summed)}
+        assert max(summed) < sum(summed) < sum(map(sum, levels.values()))   # per component, time
 
     def test_memory_does_not_grow_with_the_times(self, monkeypatch):
         # 8 rows per chunk: the blocks of 200 times at once would peak near 14 MiB
@@ -531,6 +556,86 @@ class TestSeriesBatches:
         assert peak < (times.size * grid.n_points + 16 * budget) * itemsize
         _same_fields(batch[::133], [multipeak_partial_sum_field("transmitted", 3, grid, t, cfg)
                                     for t in times[::133]])
+
+
+class TestComponentBatches:
+    """One propagate_components call is one quadrature per momentum variable;
+    each component's fields equal those of a call for it alone, bit for bit."""
+
+    @staticmethod
+    def case(name):
+        if name == "confront":
+            config = lab.scenario_defaults("confront")
+            cfg, q0 = lab._above_barrier_cfg(config)
+            return (cfg, lab._bounce_regions(cfg, q0, config, 20.0, 51),
+                    lab._snapshot_times(cfg, q0, config["n_snapshots"]))
+        # D2's zone edge: the components stop at 2049 to 16385 nodes; incident's first row
+        # and reflected's last stop at 8193, so each refines a different subset of rows
+        cfg = PhysicalConfig(m=1.0, V0=12.5, L=1.0, a=1.0, k0=5.25, x0=-10.0)
+        outer = SpatialGrid(-20.0, 0.0, 201)
+        return (cfg, {"incident": outer, "reflected": outer, "alpha": SpatialGrid(0.0, 1.0, 51),
+                      "beta": SpatialGrid(0.0, 1.0, 51),
+                      "transmitted": SpatialGrid(1.0, 21.0, 201)}, [1.0, 1.5, 2.0, 2.5, 3.0])
+
+    @pytest.mark.parametrize("name", ["confront", "zone-edge"])
+    def test_a_batch_is_a_view(self, name):
+        cfg, grids, times = self.case(name)
+        batch = propagate_components(grids, times, cfg)
+        assert list(batch) == list(grids)
+        for tag, grid in grids.items():
+            _same_fields(batch[tag], propagate_component(tag, grid, times, cfg))
+        assert len({f.n_k for fields in batch.values() for f in fields}) > 1
+
+    def test_a_subset_equals_single_time_calls(self):
+        cfg, grids, times = self.case("zone-edge")
+        subset = {tag: grids[tag] for tag in ("transmitted", "beta", "reflected")}
+        batch = propagate_components(subset, times, cfg)
+        assert list(batch) == list(subset)
+        for tag, fields in batch.items():
+            _same_fields(fields, [propagate_component(tag, subset[tag], t, cfg) for t in times])
+        assert len({f.n_k for f in batch["reflected"]}) > 1
+        (single,) = propagate_components({"beta": grids["beta"]}, 2.0, cfg).values()
+        assert isinstance(single, WaveField) and single.component_tag == "beta"
+
+    def test_a_confront_pass_evaluates_each_level_once(self, monkeypatch):
+        # incident stops at 1025 nodes, the others at 2049: 3 levels over k and 3 over q,
+        # where one call per component made 14 packet and 12 coefficient evaluations
+        counts = {"packet": 0, "coeffs": 0, "fft": 0, "ifft": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(wavepackets, "_packet", counted("packet", wavepackets._packet))
+        monkeypatch.setattr(wavepackets, "above_barrier_coeffs",
+                            counted("coeffs", above_barrier_coeffs))
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+        cfg, grids, times = self.case("confront")
+        propagate_components(grids, times, cfg)
+        assert (counts["packet"], counts["coeffs"], counts["ifft"]) == (6, 6, 14)
+        # one chirp FFT per component and spacing, 1 + 2 + 2 + 2 + 2, not one per block
+        assert counts["fft"] - counts["ifft"] == 9
+
+
+class TestQuadratureOptions:
+    @pytest.mark.parametrize("option, value", [
+        ("n_k", 1), ("n_k", 0), ("n_k", -3), ("n_k", 513.0), ("max_n_k", 1025.0),
+        ("max_n_k", None), ("tol", math.nan), ("tol", 0.0), ("tol", -1e-6), ("tol", math.inf)])
+    @pytest.mark.parametrize("tag", ["reflected", "alpha"])
+    def test_bad_options_are_named(self, tag, option, value):
+        cfg = scatter_cfg(wa=500.0)
+        grid = SpatialGrid(-30.0, 0.0, 51) if tag == "reflected" else SpatialGrid(0.0, cfg.L, 51)
+        with pytest.raises(ValueError, match=f"^{option} must be"):
+            propagate_component(tag, grid, 0.0, cfg, **{option: value})
+
+    def test_smallest_legal_options(self):
+        cfg = scatter_cfg(wa=500.0)
+        fld = propagate_component("reflected", SpatialGrid(-30.0, 0.0, 51), 0.0, cfg,
+                                  tol=1e-300, n_k=2, max_n_k=np.int64(3))
+        assert (fld.n_k, fld.converged) == (3, False)
 
 
 class TestZoneEdgeInteriorPair:
