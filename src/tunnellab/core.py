@@ -1,17 +1,18 @@
-"""Physical configuration, dispersion relations, the relativistic tunneling
-zone in its dimensionless form (n^2, upsilon), and the Gaussian momentum
-spectrum.
+"""Physical configuration, the Klein-Gordon evanescent rate, the relativistic
+tunneling zone in its dimensionless form (n^2, upsilon), and the Gaussian
+momentum spectrum.
 
 Natural units throughout: hbar = c = 1.  A configuration fixes the barrier
-(height V0, width L), the particle mass m, the incident Gaussian packet
-(width a, central momentum k0, initial peak x0) and the dispersion law.
-The momentum scale of the barrier is w = sqrt(2 m V0); it separates the
-non-relativistic tunneling zone (k < w) from the above-barrier zone (k > w).
+(height V0, width L), the particle mass m and the incident Gaussian packet
+(width a, central momentum k0, initial peak x0).  It names no dispersion law:
+each function applies its own, the packet functions k^2/(2m) and the
+relativistic ones sqrt(k^2 + m^2).  The momentum scale of the barrier is
+w = sqrt(2 m V0); it separates the non-relativistic tunneling zone (k < w)
+from the above-barrier zone (k > w).
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, is_dataclass
@@ -19,12 +20,10 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 __all__ = [
-    "Dispersion",
     "ZoneError",
     "PhysicalConfig",
     "GaussianSpectrum",
     "GAUSS_WINDOW_HALFWIDTH",
-    "energy",
     "evanescent_rate",
     "rho_n_squared",
     "momentum_window",
@@ -58,11 +57,6 @@ def _item(out):
     return type(out)(*map(_item, vars(out).values())) if is_dataclass(out) else out.item()
 
 
-class Dispersion(enum.Enum):
-    NONRELATIVISTIC = "nonrelativistic"
-    RELATIVISTIC_KG = "relativistic-kg"
-
-
 class ZoneError(ValueError):
     """The momentum/energy lies outside the zone required by the operation."""
 
@@ -77,7 +71,6 @@ class PhysicalConfig:
     a: float
     k0: float
     x0: float = 0.0
-    dispersion: Dispersion = Dispersion.NONRELATIVISTIC
 
     def __post_init__(self) -> None:
         for name in ("m", "V0", "a", "k0"):
@@ -86,6 +79,8 @@ class PhysicalConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (math.isfinite(self.L) and self.L >= 0.0):
             raise ValueError(f"barrier width L must be >= 0, got {self.L!r}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"initial peak x0 must be finite, got {self.x0!r}")
 
     @property
     def w(self) -> float:
@@ -114,25 +109,16 @@ class PhysicalConfig:
 
 
 @_numeric()
-def energy(k, cfg: PhysicalConfig):
-    """Dispersion relation: k^2/(2m) non-relativistic, sqrt(k^2 + m^2) otherwise; NaN refused."""
-    if not (k >= 0.0).all():
-        raise ZoneError("momentum k must be >= 0")
-    if cfg.dispersion is Dispersion.NONRELATIVISTIC:
-        return k * k / (2.0 * cfg.m)
-    return np.sqrt(k * k + cfg.m * cfg.m)
-
-
-@_numeric()
 def evanescent_rate(k, cfg: PhysicalConfig):
     """Klein-Gordon evanescent decay rate rho = sqrt(m^2 - (E - V0)^2) for |E - V0| <= m.
 
-    Formed as sqrt((V0 - d)(2m + d - V0)) with d = E - m = k^2/(E + m), which
-    does not cancel when E and V0 + m are both close to m.  NaN is refused.
+    E = sqrt(k^2 + m^2).  Formed as sqrt((V0 - d)(2m + d - V0)) with
+    d = E - m = k^2/(E + m), which does not cancel when E and V0 + m are both
+    close to m.  A negative or NaN k is refused.
     """
-    if cfg.dispersion is Dispersion.NONRELATIVISTIC:
-        raise ZoneError("evanescent_rate needs a relativistic configuration")
-    d = k * k / (energy(k, cfg) + cfg.m)
+    if not (k >= 0.0).all():
+        raise ZoneError("momentum k must be >= 0")
+    d = k * k / (np.sqrt(k * k + cfg.m * cfg.m) + cfg.m)
     arg = (cfg.V0 - d) * (2.0 * cfg.m + d - cfg.V0)
     if not (arg >= 0.0).all():
         raise ZoneError(

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Dispersion,
     PhysicalConfig,
     ZoneError,
     _check_rel_zone,
@@ -141,9 +140,11 @@ def nr_transmission_mag(k, w: float, L: float):
     """|T| below the barrier, stable through the barrier-top edge k -> w.
 
     |T| = [1 + w^4 sinh^2(rho L) / (4 k^2 rho^2)]^(-1/2); at k = w the ratio
-    sinh^2(rho L)/rho^2 tends to L^2.
+    sinh^2(rho L)/rho^2 tends to L^2.  k > w and NaN are refused (ZoneError).
     """
     rho_sq = w * w - k * k
+    if not (rho_sq >= 0.0).all():    # NaN fails the comparison too
+        raise ZoneError("|T| below the barrier needs k <= w")
     x_sq = rho_sq * L * L
     small = x_sq < 1e-12
     safe = np.where(small, 1.0, x_sq)
@@ -442,8 +443,7 @@ class _RelZone:
             raise ZoneError("the relativistic family needs upsilon > 0")
         w = math.sqrt(2.0 * self.upsilon)
         k = np.sqrt(self.n_sq) * w
-        cfg = PhysicalConfig(m=1.0, V0=self.upsilon, L=self.wL / w, a=1.0, k0=float(k[0]),
-                             dispersion=Dispersion.RELATIVISTIC_KG)
+        cfg = PhysicalConfig(m=1.0, V0=self.upsilon, L=self.wL / w, a=1.0, k0=float(k[0]))
         return (k, cfg, *_kg_solution(k, cfg))
 
     def self_interference(self) -> np.ndarray:

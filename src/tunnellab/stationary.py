@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Dispersion,
     PhysicalConfig,
     ZoneError,
     _numeric,
@@ -402,7 +401,7 @@ def relativistic_transmission(n_sq, upsilon: float, wL: float):
 
 @_numeric()
 def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
-    """Exact Klein-Gordon continuity solution on the barrier [0, L].
+    """Exact Klein-Gordon continuity solution on the barrier [0, L], E = sqrt(k^2 + m^2).
 
     Solves the matching conditions of the quadratic wave equation directly,
     so that |R|^2 + |T|^2 = 1 holds and the intra-barrier pair reproduces the
@@ -416,8 +415,6 @@ def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
 
 def _kg_solution(k, cfg: PhysicalConfig):
     """(rho, coefficients) of :func:`kg_scatter_coeffs`: the rate its interior field decays at."""
-    if cfg.dispersion is not Dispersion.RELATIVISTIC_KG:
-        raise ZoneError("kg_scatter_coeffs needs a relativistic configuration")
     rho = evanescent_rate(k, cfg)
     if np.any(rho == 0.0):
         raise ZoneError("exact coefficients are singular at the zone edge rho = 0")

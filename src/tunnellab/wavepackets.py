@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Dispersion,
     GaussianSpectrum,
     PhysicalConfig,
-    ZoneError,
     _numeric,
     momentum_window,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "propagate_component",
     "propagate_components",
     "propagate_tunnel_transmitted",
-    "multipeak_term_field",
     "multipeak_partial_sum_field",
     "series_validity",
     "spm_peak_prediction",
@@ -49,7 +46,7 @@ __all__ = [
 COMPONENT_TAGS = ("incident", "reflected", "alpha", "beta", "transmitted")
 
 _REGION_TOL = 1e-9
-_BLOCK_BUDGET = 1 << 20   # complex values per block of rows (_spectral_field, _series_fields)
+_BLOCK_BUDGET = 1 << 20   # complex values per block of rows (_spectral_field, bounce series)
 _QUAD_TOL, _QUAD_N_K, _QUAD_MAX_N_K = 1e-6, 513, 16385   # quadrature refinement (_spectral_field)
 
 
@@ -126,8 +123,6 @@ def free_gaussian(x, t: float, cfg: PhysicalConfig):
     Unit norm for all t; |psi|^2 peaks on the ballistic trajectory
     x0 + (k0/m) t and spreads by the factor sqrt(1 + (2t/(m a^2))^2).
     """
-    if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
-        raise ZoneError("the closed-form free packet is non-relativistic")
     return _free_envelope(x - cfg.x0, t, cfg)
 
 
@@ -204,34 +199,28 @@ def _chirp_sum(amp: np.ndarray, k_start: float, dk: float, xs: np.ndarray, dx: f
     return np.exp(1j * (sign * k_start * xs)) * post_phase * conv
 
 
-def _spectral_field(level, parts, times: np.ndarray, lo: float, hi: float, cfg: PhysicalConfig,
-                    tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K, max_n_k: int = _QUAD_MAX_N_K):
+def _spectral_field(level, parts, times: np.ndarray, lo: float, hi: float, cfg: PhysicalConfig):
     """Trapezoidal integrals of weight(kappa) _packet(k, t) e^{i sign kappa x} over [lo, hi].
 
     The parts (xs, dx, sign) share kappa; level(kappa) gives k and one weight
-    per part.  Per nested-doubling level (2n - 1 nodes: half the n-node sum
-    plus the midpoint sum), level() and the _packet rows of the times still
-    refining are evaluated once; then one part's block at a time is formed,
-    chirp-summed and refined.  A part's row stops once its field changes by
-    less than `tol`, or at `max_n_k` nodes, as it would alone.  Times go in
-    chunks of _BLOCK_BUDGET // (largest FFT length) rows, at least one.
+    per part.  The first level has _QUAD_N_K nodes.  Per nested-doubling level
+    (2n - 1 nodes: half the n-node sum plus the midpoint sum), level() and the
+    _packet rows of the times still refining are evaluated once; then one
+    part's block at a time is formed, chirp-summed and refined.  A part's row
+    stops once its field changes by less than _QUAD_TOL, or at _QUAD_MAX_N_K
+    nodes, as it would alone.  Times go in chunks of _BLOCK_BUDGET // (largest
+    FFT length) rows, at least one.  The constants are read at each call.
     Returns (values, node counts, converged flags) per part, one per time.
     """
-    if not (isinstance(n_k, (int, np.integer)) and n_k >= 2):
-        raise ValueError(f"n_k must be an integer >= 2, not {n_k!r}")
-    if not isinstance(max_n_k, (int, np.integer)):
-        raise ValueError(f"max_n_k must be an integer, not {max_n_k!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, not {tol!r}")
-    n_k, max_n_k, n_t = int(n_k), int(max_n_k), times.size
+    n_t, n_first, n_last = times.size, _QUAD_N_K, _QUAD_MAX_N_K
     values = [np.empty((n_t, xs.size), dtype=complex) for xs, _, _ in parts]
-    levels, converged = np.full((len(parts), n_t), n_k), np.zeros((len(parts), n_t), dtype=bool)
-    rows = max(1, _BLOCK_BUDGET // _fft_size(max(n_k, max_n_k) + max(p[0].size for p in parts) - 1))
+    levels, converged = np.full((len(parts), n_t), n_first), np.zeros((len(parts), n_t), dtype=bool)
+    rows = max(1, _BLOCK_BUDGET // _fft_size(max(n_first, n_last) + max(p[0].size for p in parts) - 1))
     for start in range(0, n_t, rows):
         chunk = np.arange(start, min(start + rows, n_t))
         live = np.ones((len(parts), chunk.size), dtype=bool)   # the rows each part refines
-        n, h = n_k, (hi - lo) / (n_k - 1)
-        nodes, dk, plans = np.linspace(lo, hi, n_k), h, {}
+        n, h = n_first, (hi - lo) / (n_first - 1)
+        nodes, dk, plans = np.linspace(lo, hi, n_first), h, {}
         while True:
             first, union = nodes.size == n, live.any(axis=0)
             k, weights = level(nodes)
@@ -245,11 +234,11 @@ def _spectral_field(level, parts, times: np.ndarray, lo: float, hi: float, cfg: 
                 if not first:
                     previous = values[p][mine]
                     field = 0.5 * (previous + field)
-                    done = np.max(np.abs(field - previous), axis=1) < tol
+                    done = np.max(np.abs(field - previous), axis=1) < _QUAD_TOL
                     levels[p, mine], converged[p, mine[done]] = n, True
                     live[p, live[p]] = ~done
                 values[p][mine] = field
-            if n >= max_n_k or not live.any():
+            if n >= n_last or not live.any():
                 break
             plans = plans if dk == h else {}     # the spacing dk is finished
             nodes, dk = lo + h * (np.arange(n - 1) + 0.5), h
@@ -282,9 +271,7 @@ def _fields(grid: SpatialGrid, times: np.ndarray, single: bool, tag: str, values
     return fields[0] if single else fields
 
 
-def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig,
-                         *, tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K,
-                         max_n_k: int = _QUAD_MAX_N_K) -> dict:
+def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig) -> dict:
     """Propagate scattered components, {tag: grid}, by quadrature over the momentum window.
 
     The window is k0 +- 8/a clipped to the above-barrier zone (w, inf).  The
@@ -292,14 +279,13 @@ def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig,
     intra-barrier pair oscillates as e^{+-iqx} and integrates over
     q = sqrt(k^2 - w^2) with dk = (q/k) dq, which also cancels the 1/q growth
     of its coefficients at the zone edge.  The trapezoidal grid is refined by
-    doubling until the field changes by less than `tol` anywhere.
+    doubling until the field changes by less than 1e-6 anywhere, or up to
+    16385 nodes (the field then says it did not converge).
 
     `t` is one time (a WaveField per tag) or a sequence of times (a list per
     tag).  Each momentum variable is one quadrature of its components at all
     times, each field refined as it would be alone.
     """
-    if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
-        raise ZoneError("component propagation uses the non-relativistic solutions")
     for tag, grid in grids.items():
         _require_region(tag, grid, cfg)
     times, single = _times(t)
@@ -332,17 +318,16 @@ def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig,
         if tags:
             parts = [(grids[tag].x, grids[tag].spacing, -1.0 if tag in ("reflected", "beta")
                       else 1.0) for tag in tags]     # e^{-ikx}, e^{-iqx}
-            results = _spectral_field(level, parts, times, *window, cfg, tol, n_k, max_n_k)
+            results = _spectral_field(level, parts, times, *window, cfg)
             for tag, result in zip(tags, results):
                 found[tag] = _fields(grids[tag], times, single, tag, *result)
     return found
 
 
-def propagate_component(tag: str, grid: SpatialGrid, t, cfg: PhysicalConfig,
-                        *, tol: float = _QUAD_TOL, n_k: int = _QUAD_N_K,
-                        max_n_k: int = _QUAD_MAX_N_K) -> WaveField | list[WaveField]:
-    """One scattered component: propagate_components({tag: grid}, ...)[tag]."""
-    return propagate_components({tag: grid}, t, cfg, tol=tol, n_k=n_k, max_n_k=max_n_k)[tag]
+def propagate_component(tag: str, grid: SpatialGrid, t,
+                        cfg: PhysicalConfig) -> WaveField | list[WaveField]:
+    """One scattered component: propagate_components({tag: grid}, t, cfg)[tag]."""
+    return propagate_components({tag: grid}, t, cfg)[tag]
 
 
 def propagate_tunnel_transmitted(grid: SpatialGrid, t,
@@ -350,11 +335,9 @@ def propagate_tunnel_transmitted(grid: SpatialGrid, t,
     """Transmitted packet of the tunneling geometry (barrier on [-L/2, L/2]).
 
     Quadrature of |T| e^{i theta} e^{ik(x - L/2)} over the momentum window
-    clipped to the tunneling zone (0, w), refined as in `propagate_components`
-    at its default settings; `t` is one time or a sequence of times, as there.
+    clipped to the tunneling zone (0, w), refined as in `propagate_components`;
+    `t` is one time or a sequence of times, as there.
     """
-    if cfg.dispersion is not Dispersion.NONRELATIVISTIC:
-        raise ZoneError("tunnel propagation uses the non-relativistic solutions")
     half = 0.5 * cfg.L
     if grid.x_min < half - _REGION_TOL * max(1.0, abs(grid.x_max)):
         raise ValueError("transmitted grid must lie beyond the exit face x = L/2")
@@ -382,34 +365,19 @@ def _series_basics(cfg: PhysicalConfig):
     return k0, q0, w, L, u, step
 
 
-def multipeak_term_field(tag: str, n: int, grid: SpatialGrid, t,
-                         cfg: PhysicalConfig) -> WaveField | list[WaveField]:
-    """n-th analytic bounce term (n >= 1) of one scattered component.
-
-    Built from frozen-coefficient free-Gaussian envelopes with arguments
-    shifted by the accumulated intra-barrier path, so each term moves at the
-    ballistic speed of its region and successive terms are delayed by one
-    round trip 2 (m/q0) L.  `t` is one time or a sequence of times, as in
-    `propagate_component`.
-    """
-    if n < 1:
-        raise ValueError("bounce terms are indexed from 1")
-    return _series_fields(tag, (n,), grid, t, cfg, f"{tag}:{n}")
-
-
 def multipeak_partial_sum_field(tag: str, n_terms: int, grid: SpatialGrid, t,
                                 cfg: PhysicalConfig) -> WaveField | list[WaveField]:
-    """Partial sum of the first n_terms analytic bounce terms of one component, at `t` as above."""
+    """Partial sum of the first n_terms analytic bounce terms of one scattered component.
+
+    Each term is a frozen-coefficient free-Gaussian envelope whose argument is
+    shifted by the accumulated intra-barrier path, so it moves at the
+    ballistic speed of its region, and each term is delayed by one round trip
+    2 (m/q0) L after the one before.  `t` is one time or a sequence of times,
+    as in `propagate_component`.  Blocks of _BLOCK_BUDGET // n_points rows (at
+    least one) bound the arrays of a block, whatever the number of times.
+    """
     if n_terms < 1:
         raise ValueError("partial sums need at least one term")
-    return _series_fields(tag, range(1, n_terms + 1), grid, t, cfg, f"{tag}:sum{n_terms}")
-
-
-def _series_fields(tag: str, terms, grid: SpatialGrid, t, cfg: PhysicalConfig,
-                   label: str) -> WaveField | list[WaveField]:
-    """The sum of the bounce terms `terms` of one component, one field per time.  Blocks of
-    _BLOCK_BUDGET // n_points rows (at least one) bound the arrays of a block, whatever the
-    number of times."""
     _require_region(tag, grid, cfg)
     basics = _series_basics(cfg)
     times, single = _times(t)
@@ -417,10 +385,10 @@ def _series_fields(tag: str, terms, grid: SpatialGrid, t, cfg: PhysicalConfig,
     values = np.zeros((times.size, xs.size), dtype=complex)
     rows = max(1, _BLOCK_BUDGET // xs.size)
     for start in range(0, times.size, rows):
-        for n in terms:
+        for n in range(1, n_terms + 1):
             values[start:start + rows] += _bounce_term(tag, n, xs, times[start:start + rows],
                                                        cfg, basics)
-    return _fields(grid, times, single, label, values)
+    return _fields(grid, times, single, f"{tag}:sum{n_terms}", values)
 
 
 def _bounce_term(tag: str, n: int, xs: np.ndarray, times: np.ndarray, cfg: PhysicalConfig,

@@ -8,12 +8,10 @@ import pytest
 
 import tunnellab
 from tunnellab.core import (
-    Dispersion,
     GaussianSpectrum,
     PhysicalConfig,
     ZoneError,
     _in_rel_zone,
-    energy,
     evanescent_rate,
     momentum_window,
     rho_n_squared,
@@ -27,8 +25,7 @@ def nr_cfg(**kw):
 
 
 def kg_cfg(**kw):
-    base = dict(m=1.0, V0=5.0, L=1.0, a=1.0, k0=math.sqrt(24.0),
-                dispersion=Dispersion.RELATIVISTIC_KG)  # E = 5 = V0
+    base = dict(m=1.0, V0=5.0, L=1.0, a=1.0, k0=math.sqrt(24.0))  # E = 5 = V0
     base.update(kw)
     return PhysicalConfig(**base)
 
@@ -43,6 +40,12 @@ class TestConfig:
         cfg = nr_cfg(m=2.0, V0=3.0)
         assert cfg.w == pytest.approx(math.sqrt(12.0), rel=1e-15)
 
+    def test_nonfinite_x0_refused(self):
+        # a NaN x0 made NaN packets, and quadratures refined to 16385 nodes unconverged
+        for x0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                nr_cfg(x0=x0)
+
     def test_scenario_constructors_enforce_zone(self):
         PhysicalConfig.tunneling(m=1.0, V0=0.5, L=1.0, a=1.0, k0=0.5)
         with pytest.raises(ZoneError):
@@ -53,26 +56,30 @@ class TestConfig:
 
 
 class TestDispersion:
+    """The rate reads the Klein-Gordon energy E = sqrt(k^2 + m^2): rho^2 = m^2 - (E - V0)^2."""
+
     def test_energy_examples(self):
-        assert energy(0.0, nr_cfg()) == 0.0
-        assert energy(0.0, kg_cfg()) == pytest.approx(1.0, rel=1e-15)
-        cfg = nr_cfg()
-        assert energy(cfg.w, cfg) == pytest.approx(cfg.V0, rel=1e-14)
+        # m = 1, V0 = 3/2: E = 1 at k = 0, 5/4 at k = 3/4 and V0 at k^2 = 5/4
+        cfg = kg_cfg(V0=1.5)
+        assert evanescent_rate(0.0, cfg) == pytest.approx(math.sqrt(0.75), rel=1e-15)
+        assert evanescent_rate(0.75, cfg) == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-15)
+        assert evanescent_rate(math.sqrt(1.25), cfg) == pytest.approx(1.0, rel=1e-15)
 
     def test_energy_monotone_and_negative_rejected(self):
-        ks = np.linspace(0.0, 5.0, 200)
-        for cfg in (nr_cfg(), kg_cfg()):
-            es = energy(ks, cfg)
-            assert np.all(np.diff(es) > 0)
-        with pytest.raises(ValueError):
-            energy(-0.1, nr_cfg())
+        # E grows with k, so rho rises up to E = V0 (k = sqrt(24)) and falls after it
+        cfg = kg_cfg()
+        below, above = np.linspace(4.0, math.sqrt(24.0), 100), np.linspace(math.sqrt(24.0), 5.9, 100)
+        assert np.all(np.diff(evanescent_rate(below, cfg)) > 0)
+        assert np.all(np.diff(evanescent_rate(above, cfg)) < 0)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            evanescent_rate(-0.1, cfg)
 
     def test_nan_momentum_refused(self):
         # NaN compares False with the k >= 0 bound: it must still be refused
         for cfg in (nr_cfg(), kg_cfg()):
-            for k in (math.nan, np.array([1.0, math.nan])):
+            for k in (math.nan, np.array([cfg.k0, math.nan])):
                 with pytest.raises(ZoneError, match="k must be >= 0"):
-                    energy(k, cfg)
+                    evanescent_rate(k, cfg)
 
 
 class TestChannels:
@@ -97,15 +104,18 @@ class TestChannels:
                 evanescent_rate(k, cfg)
 
     def test_rate_is_klein_gordon_only(self):
-        with pytest.raises(ZoneError, match="relativistic configuration"):
-            evanescent_rate(0.5, nr_cfg())
+        # a configuration names no dispersion: every one is read with E = sqrt(k^2 + m^2)
+        cfg = nr_cfg()
+        E = math.sqrt(0.25 + cfg.m * cfg.m)
+        assert evanescent_rate(0.5, cfg) == pytest.approx(
+            math.sqrt(cfg.m * cfg.m - (E - cfg.V0) ** 2), rel=1e-14)
 
     def test_zone_partition_exhaustive(self):
         # the dimensionless zone (n^2 - upsilon/2)^2 < 1 is the energy window
         # |E - V0| < m, and the rate is real exactly there
         cfg = kg_cfg()
         for k in np.linspace(1e-3, 12.0, 301):
-            E = energy(float(k), cfg)
+            E = math.sqrt(k * k + cfg.m * cfg.m)
             inside = _in_rel_zone(k * k / (cfg.w * cfg.w), cfg.V0 / cfg.m)
             assert inside == (cfg.V0 - cfg.m < E < cfg.V0 + cfg.m)
             if inside:

@@ -13,10 +13,8 @@ import pytest
 from tunnellab import observables as ob
 from tunnellab import stationary as st
 from tunnellab.core import (
-    Dispersion,
     GaussianSpectrum,
     PhysicalConfig,
-    energy,
     evanescent_rate,
     rho_n_squared,
 )
@@ -53,8 +51,7 @@ def kg(rng):
     """A Klein-Gordon configuration and momenta inside its tunneling zone."""
     (upsilon, wL), n_sq = zone(rng)
     w = math.sqrt(2.0 * upsilon)
-    cfg = PhysicalConfig(m=1.0, V0=upsilon, L=wL / w, a=1.0, k0=1.0,
-                         dispersion=Dispersion.RELATIVISTIC_KG)
+    cfg = PhysicalConfig(m=1.0, V0=upsilon, L=wL / w, a=1.0, k0=1.0)
     return cfg, np.sqrt(n_sq) * w
 
 
@@ -64,8 +61,6 @@ def opacity(rng):
 
 
 _CASES = {
-    "energy": (above, lambda cfg, k: energy(k, cfg)),
-    "energy-kg": (kg, lambda cfg, k: energy(k, cfg)),
     "evanescent_rate": (kg, lambda cfg, k: evanescent_rate(k, cfg)),
     "rho_n_squared": (zone, lambda ctx, n_sq: rho_n_squared(n_sq, ctx[0])),
     "GaussianSpectrum.amplitude":

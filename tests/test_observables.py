@@ -648,12 +648,11 @@ def interior_dwell_quadrature(n_sq, upsilon, wL, scaled):
     """(m/k) int |phi_2|^2 / tau by 160-node Gauss-Legendre over the interior
     field of the continuity solution, normalized by the barrier-scale
     transmission modulus when ``scaled``."""
-    from tunnellab.core import Dispersion, evanescent_rate
+    from tunnellab.core import evanescent_rate
     from tunnellab.stationary import kg_scatter_coeffs
     m = 1.0
     w = math.sqrt(2.0 * upsilon) * m
-    cfg = PhysicalConfig(m=m, V0=upsilon, L=wL / w, a=1.0, k0=math.sqrt(n_sq) * w,
-                         dispersion=Dispersion.RELATIVISTIC_KG)
+    cfg = PhysicalConfig(m=m, V0=upsilon, L=wL / w, a=1.0, k0=math.sqrt(n_sq) * w)
     sc = kg_scatter_coeffs(cfg.k0, cfg)
     scale = 1.0
     if scaled:
@@ -890,3 +889,11 @@ class TestNrTransmissionMag:
         mags = nr_transmission_mag(ks, cfg.w, cfg.L)
         exact = np.abs(tunnel_amplitude_nr(ks, cfg).T)
         assert np.allclose(mags, exact, rtol=1e-12)
+
+    def test_above_barrier_and_nan_refused(self):
+        # the series branch x^2 < 1e-12 once caught every k > w: |T| read 1.0 at k = 2w
+        # and 1.024 at k = 3w, where the above-barrier |T| is 0.990 and 0.99984
+        for k in (2.0, 3.0, 1.0 + 1e-12, math.nan, np.array([0.5, 2.0]), np.array([0.5, math.nan])):
+            with pytest.raises(ZoneError, match="k <= w"):
+                nr_transmission_mag(k, 1.0, 1.0)
+        assert nr_transmission_mag(1.0, 1.0, 1.0) == pytest.approx(0.8 ** 0.5, rel=1e-15)

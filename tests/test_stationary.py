@@ -7,7 +7,7 @@ import pytest
 
 from oracles import central_difference, transfer_matrix_amplitudes
 
-from tunnellab.core import Dispersion, PhysicalConfig, ZoneError, evanescent_rate
+from tunnellab.core import PhysicalConfig, ZoneError, evanescent_rate
 from tunnellab.observables import nr_phase_time
 from tunnellab.stationary import (
     Parity,
@@ -424,8 +424,7 @@ class TestRelativisticTransmission:
         assert T_mag > 0.9999
 
     def test_kg_continuity_solution(self):
-        cfg = PhysicalConfig(m=1.0, V0=5.0, L=0.7, a=1.0, k0=math.sqrt(20.0),
-                             dispersion=Dispersion.RELATIVISTIC_KG)
+        cfg = PhysicalConfig(m=1.0, V0=5.0, L=0.7, a=1.0, k0=math.sqrt(20.0))
         sc = kg_scatter_coeffs(cfg.k0, cfg)
         assert abs(sc.R) ** 2 + abs(sc.T) ** 2 == pytest.approx(1.0, abs=1e-12)
         rho = evanescent_rate(cfg.k0, cfg)
@@ -448,8 +447,7 @@ class TestRelativisticTransmission:
             n_sq = np.linspace(max(0.5 * upsilon - 1.0, 0.0), 0.5 * upsilon + 1.0, 203)[1:-1]
             ks = np.sqrt(n_sq) * w
             for wL in (0.1, 2.0 * math.pi, 40.0, 800.0):
-                cfg = PhysicalConfig(m=1.0, V0=upsilon, L=wL / w, a=1.0, k0=float(ks[0]),
-                                     dispersion=Dispersion.RELATIVISTIC_KG)
+                cfg = PhysicalConfig(m=1.0, V0=upsilon, L=wL / w, a=1.0, k0=float(ks[0]))
                 sc = kg_scatter_coeffs(ks, cfg)
                 assert np.max(np.abs(np.abs(sc.R) ** 2 + np.abs(sc.T) ** 2 - 1.0)) < 1e-12
                 rho = evanescent_rate(ks, cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,7 +22,6 @@ from tunnellab.wavepackets import (
     free_gaussian,
     free_gaussian_peak,
     multipeak_partial_sum_field,
-    multipeak_term_field,
     propagate_component,
     propagate_components,
     propagate_tunnel_transmitted,
@@ -44,6 +44,24 @@ def scatter_cfg(wa=500.0, k0_over_w=math.sqrt(10.0) / 3.0, L_over_a=5.0):
     x0 = -k0 * L_over_a * a / (2.0 * q0) if L_over_a > 0 else -5.0 * a
     return PhysicalConfig.above_barrier(m=1.0, V0=w * w / 2.0, L=L_over_a * a,
                                         a=a, k0=k0, x0=x0)
+
+
+def bounce_term(tag, n, grid, t, cfg):
+    """Term n of the bounce series: the partial sum of n terms less that of n - 1."""
+    total = multipeak_partial_sum_field(tag, n, grid, t, cfg)
+    if n == 1:
+        return total
+    less = multipeak_partial_sum_field(tag, n - 1, grid, t, cfg)
+    if isinstance(total, WaveField):
+        return dataclasses.replace(total, values=total.values - less.values)
+    return [dataclasses.replace(f, values=f.values - g.values) for f, g in zip(total, less)]
+
+
+def quadrature(monkeypatch, tol=wavepackets._QUAD_TOL, n_k=wavepackets._QUAD_N_K,
+               max_n_k=wavepackets._QUAD_MAX_N_K):
+    """Set the refinement constants that every quadrature reads at its call."""
+    for name, value in (("_QUAD_TOL", tol), ("_QUAD_N_K", n_k), ("_QUAD_MAX_N_K", max_n_k)):
+        monkeypatch.setattr(wavepackets, name, value)
 
 
 class TestGrid:
@@ -89,13 +107,6 @@ class TestFreeGaussian:
         xs = np.linspace(center - 12.0 * spread, center + 12.0 * spread, 20001)
         norm = trapezoid_norm(np.abs(free_gaussian(xs, t, cfg)) ** 2, xs)
         assert norm == pytest.approx(1.0, abs=1e-8)
-
-    def test_requires_nonrelativistic(self):
-        from tunnellab.core import Dispersion
-        cfg = PhysicalConfig(m=1.0, V0=1.0, L=0.0, a=1.0, k0=1.0,
-                             dispersion=Dispersion.RELATIVISTIC_KG)
-        with pytest.raises(ZoneError):
-            free_gaussian(0.0, 0.0, cfg)
 
 
 class TestFieldHelpers:
@@ -255,7 +266,7 @@ class TestMultipeakSeries:
         t_inc0 = -cfg.x0 * cfg.m / cfg.k0
         transit = cfg.m * cfg.L / q0
         grid = SpatialGrid(cfg.L, cfg.L + 40.0 * cfg.a, 8001)
-        fld = multipeak_term_field("transmitted", 1, grid, t_inc0 + transit, cfg)
+        fld = bounce_term("transmitted", 1, grid, t_inc0 + transit, cfg)
         assert field_peak(fld).x == pytest.approx(cfg.L, abs=0.02 * cfg.a)
 
     def test_successive_peaks_one_round_trip_apart(self):
@@ -264,8 +275,8 @@ class TestMultipeakSeries:
         round_trip = 2.0 * (cfg.k0 / q0) * cfg.L
         t = 6.0 * cfg.m * cfg.L / q0
         grid = SpatialGrid(cfg.L, cfg.L + 80.0 * cfg.a, 16001)
-        x1 = field_peak(multipeak_term_field("transmitted", 1, grid, t, cfg)).x
-        x2 = field_peak(multipeak_term_field("transmitted", 2, grid, t, cfg)).x
+        x1 = field_peak(bounce_term("transmitted", 1, grid, t, cfg)).x
+        x2 = field_peak(bounce_term("transmitted", 2, grid, t, cfg)).x
         assert x1 - x2 == pytest.approx(round_trip, abs=0.03 * cfg.a)
 
     def test_partial_sum_is_sum_of_terms(self):
@@ -273,14 +284,15 @@ class TestMultipeakSeries:
         grid = SpatialGrid(-40.0, 0.0, 501)
         t = 2.0 * cfg.m * cfg.L / math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
         total = multipeak_partial_sum_field("reflected", 3, grid, t, cfg)
-        acc = sum(multipeak_term_field("reflected", n, grid, t, cfg).values
+        basics = wavepackets._series_basics(cfg)
+        acc = sum(wavepackets._bounce_term("reflected", n, grid.x, np.array([t]), cfg, basics)[0]
                   for n in (1, 2, 3))
         assert np.allclose(total.values, acc, atol=1e-15)
 
     def test_term_index_validated(self):
         cfg = scatter_cfg()
-        with pytest.raises(ValueError):
-            multipeak_term_field("reflected", 0, SpatialGrid(-1.0, 0.0, 11), 0.0, cfg)
+        with pytest.raises(ValueError, match="at least one term"):
+            multipeak_partial_sum_field("reflected", 0, SpatialGrid(-1.0, 0.0, 11), 0.0, cfg)
 
 
 class TestSeriesValidity:
@@ -342,16 +354,15 @@ class TestSpmPredictions:
 
 
 class TestQuadratureConvergence:
-    def test_doubling_changes_little(self):
+    def test_doubling_changes_little(self, monkeypatch):
         cfg = scatter_cfg(wa=500.0)
         grid = SpatialGrid(-30.0, 0.0, 401)
         t = 3.0 * cfg.m * cfg.L / math.sqrt(cfg.k0 ** 2 - cfg.w ** 2)
-        coarse = propagate_component("reflected", grid, t, cfg, n_k=513, max_n_k=513)
-        fine = propagate_component("reflected", grid, t, cfg, n_k=1025, max_n_k=1025)
         # the refinement loop stops when this is already < 1e-6
         converged = propagate_component("reflected", grid, t, cfg)
-        finer = propagate_component("reflected", grid, t, cfg,
-                                    n_k=2 * 2049 - 1, max_n_k=2 * 2049 - 1)
+        quadrature(monkeypatch, n_k=2 * 2049 - 1, max_n_k=2 * 2049 - 1)
+        finer = propagate_component("reflected", grid, t, cfg)
+        assert finer.n_k == 4097
         assert np.max(np.abs(converged.values - finer.values)) < 1e-6
 
 
@@ -396,21 +407,26 @@ class TestRunRecord:
         fld = propagate_component("reflected", SpatialGrid(-30.0, 0.0, 401), 1e-3, cfg)
         assert fld.converged and fld.n_k in (1025, 2049, 4097, 8193, 16385)
 
-    def test_unconverged_field_says_so(self):
+    def test_unconverged_field_says_so(self, monkeypatch):
         cfg = scatter_cfg(wa=500.0)
         grid = SpatialGrid(-30.0, 0.0, 401)
-        capped = propagate_component("reflected", grid, 1e-3, cfg, tol=1e-300, max_n_k=1025)
+        quadrature(monkeypatch, tol=1e-300, max_n_k=1025)
+        capped = propagate_component("reflected", grid, 1e-3, cfg)
         assert (capped.n_k, capped.converged) == (1025, False)
-        unrefined = propagate_component("reflected", grid, 1e-3, cfg, n_k=513, max_n_k=513)
+        quadrature(monkeypatch, n_k=513, max_n_k=513)
+        unrefined = propagate_component("reflected", grid, 1e-3, cfg)
         assert (unrefined.n_k, unrefined.converged) == (513, False)
 
-    def test_nested_refinement_is_the_finer_trapezoid(self):
+    def test_nested_refinement_is_the_finer_trapezoid(self, monkeypatch):
         # 513 nodes refined once by midpoints give the 1025-node rule itself
         cfg = scatter_cfg(wa=500.0)
         grid = SpatialGrid(0.0, cfg.L, 101)
         for tag in ("alpha", "beta"):
-            nested = propagate_component(tag, grid, 1e-3, cfg, tol=1e-300, max_n_k=1025)
-            direct = propagate_component(tag, grid, 1e-3, cfg, n_k=1025, max_n_k=1025)
+            quadrature(monkeypatch, tol=1e-300, max_n_k=1025)
+            nested = propagate_component(tag, grid, 1e-3, cfg)
+            quadrature(monkeypatch, n_k=1025, max_n_k=1025)
+            direct = propagate_component(tag, grid, 1e-3, cfg)
+            assert (nested.n_k, direct.n_k) == (1025, 1025)
             assert np.max(np.abs(nested.values - direct.values)) < 1e-12
 
 
@@ -432,18 +448,18 @@ class TestTimeBatches:
     @pytest.mark.parametrize("tag, tol", [("incident", 1e-9), ("reflected", 1e-6),
                                           ("alpha", 1e-6), ("beta", 1e-6),
                                           ("transmitted", 1e-6)])
-    def test_rows_equal_single_calls(self, tag, tol):
+    def test_rows_equal_single_calls(self, tag, tol, monkeypatch):
         cfg = scatter_cfg(wa=500.0)
         region = {"alpha": (0.0, cfg.L, 51), "beta": (0.0, cfg.L, 51),
                   "transmitted": (cfg.L, cfg.L + 30.0, 201)}.get(tag, (-30.0, 0.0, 201))
         grid = SpatialGrid(*region)
-        batch = propagate_component(tag, grid, list(self.TIMES), cfg, tol=tol)
-        _same_fields(batch, [propagate_component(tag, grid, t, cfg, tol=tol)
-                             for t in self.TIMES])
+        quadrature(monkeypatch, tol=tol)
+        batch = propagate_component(tag, grid, list(self.TIMES), cfg)
+        _same_fields(batch, [propagate_component(tag, grid, t, cfg) for t in self.TIMES])
         assert len({f.n_k for f in batch}) > 1 and all(f.converged for f in batch)
-        capped = propagate_component(tag, grid, self.TIMES, cfg, tol=1e-300, max_n_k=1025)
-        _same_fields(capped, [propagate_component(tag, grid, t, cfg, tol=1e-300, max_n_k=1025)
-                              for t in self.TIMES])
+        quadrature(monkeypatch, tol=1e-300, max_n_k=1025)
+        capped = propagate_component(tag, grid, self.TIMES, cfg)
+        _same_fields(capped, [propagate_component(tag, grid, t, cfg) for t in self.TIMES])
         assert {(f.n_k, f.converged) for f in capped} == {(1025, False)}
 
     def test_zero_width_rows(self):
@@ -526,7 +542,7 @@ class TestSeriesBatches:
 
     @pytest.mark.parametrize("tag", wavepackets.COMPONENT_TAGS)
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("series", [multipeak_term_field, multipeak_partial_sum_field],
+    @pytest.mark.parametrize("series", [bounce_term, multipeak_partial_sum_field],
                              ids=["term", "partial-sum"])
     def test_rows_equal_one_time_calls(self, series, n, tag):
         cfg = scatter_cfg(wa=500.0)
@@ -621,20 +637,23 @@ class TestComponentBatches:
 
 
 class TestQuadratureOptions:
+    """The refinement settings are module constants (docs/DECISIONS.md, D24), not options."""
+
     @pytest.mark.parametrize("option, value", [
         ("n_k", 1), ("n_k", 0), ("n_k", -3), ("n_k", 513.0), ("max_n_k", 1025.0),
         ("max_n_k", None), ("tol", math.nan), ("tol", 0.0), ("tol", -1e-6), ("tol", math.inf)])
     @pytest.mark.parametrize("tag", ["reflected", "alpha"])
     def test_bad_options_are_named(self, tag, option, value):
+        # a call that still passes a setting fails naming it, not silently at the defaults
         cfg = scatter_cfg(wa=500.0)
         grid = SpatialGrid(-30.0, 0.0, 51) if tag == "reflected" else SpatialGrid(0.0, cfg.L, 51)
-        with pytest.raises(ValueError, match=f"^{option} must be"):
+        with pytest.raises(TypeError, match=f"'{option}'"):
             propagate_component(tag, grid, 0.0, cfg, **{option: value})
 
-    def test_smallest_legal_options(self):
+    def test_smallest_legal_options(self, monkeypatch):
         cfg = scatter_cfg(wa=500.0)
-        fld = propagate_component("reflected", SpatialGrid(-30.0, 0.0, 51), 0.0, cfg,
-                                  tol=1e-300, n_k=2, max_n_k=np.int64(3))
+        quadrature(monkeypatch, tol=1e-300, n_k=2, max_n_k=3)
+        fld = propagate_component("reflected", SpatialGrid(-30.0, 0.0, 51), 0.0, cfg)
         assert (fld.n_k, fld.converged) == (3, False)
 
 
