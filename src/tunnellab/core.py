@@ -23,15 +23,9 @@ __all__ = [
     "ZoneError",
     "PhysicalConfig",
     "GaussianSpectrum",
-    "GAUSS_WINDOW_HALFWIDTH",
     "evanescent_rate",
     "rho_n_squared",
-    "momentum_window",
 ]
-
-# Half-width of the momentum window used by every spectral integral, in units
-# of 1/a.  Gaussian mass outside k0 +- 8/a is below 1e-13.
-GAUSS_WINDOW_HALFWIDTH = 8.0
 
 
 def _numeric(arrays: int = 1):
@@ -177,20 +171,3 @@ class GaussianSpectrum:
         return ((self.a * self.a) / (2.0 * np.pi)) ** 0.25 * np.exp(
             -(self.a * self.a) * (k - self.k0) ** 2 / 4.0)
 
-
-def momentum_window(cfg: PhysicalConfig, lower: float | None = None,
-                    upper: float | None = None) -> tuple[float, float]:
-    """Momentum window k0 +- 8/a for spectral integrals, clipped to [lower, upper].
-
-    Raises ZoneError when the clip leaves an empty window.
-    """
-    half = GAUSS_WINDOW_HALFWIDTH / cfg.a
-    lo, hi = cfg.k0 - half, cfg.k0 + half
-    if lower is not None:
-        lo = max(lo, lower)
-    if upper is not None:
-        hi = min(hi, upper)
-    if not lo < hi:
-        raise ZoneError(
-            f"momentum window is empty after clipping to [{lower}, {upper}]")
-    return lo, hi

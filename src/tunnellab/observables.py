@@ -32,8 +32,8 @@ from ._hyperbolic import one_way_rate, scaled
 from .stationary import (
     Parity,
     _check_tunnel_zone,
+    _evanescent_coeffs,
     _evanescent_parts,
-    _kg_solution,
     _single_peak_lines,
     symmetric_intra_barrier_coeffs,
     tunnel_phase_derivative,
@@ -404,23 +404,26 @@ def _check_rel_args(upsilon: float, wL: float = 0.0) -> None:
 
 class _RelZone:
     """The tunneling-zone solution of one (upsilon, wL) at every n_sq, zone checked once:
-    S = sqrt(1 + 2 n^2 upsilon), rho_n^2, the scaled parts of x = rho_n wL and, on first
-    use, the Klein-Gordon continuity solution.  Each relativistic time is a view (D13)."""
+    S = sqrt(1 + 2 n^2 upsilon), rho_n^2, the scaled and evanescent parts of x = rho_n wL
+    and, on first use, the Klein-Gordon continuity solution.  Each relativistic time is a
+    view (D13).  The evanescent parts depend on (k, rho) only through k/rho and rho L, so
+    those at k = n, rho = rho_n are also the continuity solution's (D25)."""
 
     def __init__(self, n_sq: np.ndarray, upsilon: float, wL: float):
         _check_rel_args(upsilon, wL)
         _check_rel_zone(n_sq, upsilon)
         self.n_sq, self.upsilon, self.wL = n_sq, upsilon, wL
         self.S, self.rn_sq = np.sqrt(1.0 + 2.0 * n_sq * upsilon), rho_n_squared(n_sq, upsilon)
-        self.parts = scaled(np.sqrt(self.rn_sq) * wL)
+        rn = np.sqrt(self.rn_sq)
+        self.parts = scaled(rn * wL)
+        self.evanescent = _evanescent_parts(np.sqrt(n_sq), rn, rn * wL, n_sq - self.rn_sq)
 
     def transmission(self) -> tuple[np.ndarray, np.ndarray]:
-        """(|T|, phi) of stationary.relativistic_transmission: the evanescent phase at
-        k = n, rho = rho_n and the barrier-scale modulus from the scaled parts."""
-        n_sq, rn_sq, rn = self.n_sq, self.rn_sq, np.sqrt(self.rn_sq)
-        _, e, _, phi = _evanescent_parts(np.sqrt(n_sq), rn, rn * self.wL, n_sq - rn_sq)
+        """(|T|, phi) of stationary.relativistic_transmission: the evanescent phase and
+        the barrier-scale modulus from the scaled parts."""
+        _, e, _, phi = self.evanescent
         s, _, q, m = self.parts
-        return 2.0 * e / np.sqrt(s + m * q / (4.0 * n_sq * rn_sq)), phi
+        return 2.0 * e / np.sqrt(s + m * q / (4.0 * self.n_sq * self.rn_sq)), phi
 
     @functools.cached_property
     def phase_time(self) -> np.ndarray:
@@ -438,23 +441,27 @@ class _RelZone:
 
     @functools.cached_property
     def continuity(self):
-        """(k, cfg, rho, coefficients) of the m = 1 continuity solution; any valid k0 in cfg."""
+        """(k, rho, L, coefficients) of the m = 1 continuity solution (kg_scatter_coeffs),
+        with k = n w, rho = rho_n w and L = wL / w at w = sqrt(2 upsilon)."""
         if self.upsilon <= 0.0:
             raise ZoneError("the relativistic family needs upsilon > 0")
         w = math.sqrt(2.0 * self.upsilon)
-        k = np.sqrt(self.n_sq) * w
-        cfg = PhysicalConfig(m=1.0, V0=self.upsilon, L=self.wL / w, a=1.0, k0=float(k[0]))
-        return (k, cfg, *_kg_solution(k, cfg))
+        k, rho, L = np.sqrt(self.n_sq) * w, np.sqrt(self.rn_sq) * w, self.wL / w
+        return k, rho, L, _evanescent_coeffs(k, rho, L, k * k + rho * rho, self.evanescent)
 
     def self_interference(self) -> np.ndarray:
-        k, cfg, _, sc = self.continuity
-        return -sc.R.imag / (k * cfg.L)
+        k, _, L, sc = self.continuity
+        if L == 0.0:   # R and L vanish together: the thin-barrier limit of -Im R / (k L)
+            return (self.n_sq + self.rn_sq) / (2.0 * self.n_sq)
+        return -sc.R.imag / (k * L)
 
     def residual(self) -> np.ndarray:
-        k, cfg, rho, sc = self.continuity
+        k, rho, L, sc = self.continuity
+        if L == 0.0:
+            raise ValueError("the identity residual needs wL > 0: its quadrature has no interior")
         E = np.sqrt(k * k + 1.0)
-        dwell = (E - cfg.V0) / k * _density_integral(sc.alpha_coef, sc.beta_coef, rho, 0.0, cfg.L)
-        return self.phase_time - (dwell / (cfg.L * E / k) + self.self_interference())
+        dwell = (E - self.upsilon) / k * _density_integral(sc.alpha_coef, sc.beta_coef, rho, 0.0, L)
+        return self.phase_time - (dwell / (L * E / k) + self.self_interference())
 
 
 @_numeric()
@@ -581,7 +588,7 @@ def rel_self_interference(n_sq, upsilon: float, wL: float):
     """Normalized overlap delay in front of the barrier.
 
     t_I/tau = -(dk/dE) Im[R] / (k tau) = -Im[R]/(k L), with R from the
-    continuity solution.
+    continuity solution; at wL = 0, its limit (n^2 + rho_n^2) / (2 n^2).
     """
     return _RelZone(n_sq, upsilon, wL).self_interference()
 
@@ -592,7 +599,7 @@ def rel_variational_residual(n_sq, upsilon: float, wL: float):
 
     t_phi/tau - [ ((E - V0)/k) integral |phi_2|^2 / tau + t_I/tau ]
     with the intra-barrier field and R from the continuity solution; zero up
-    to quadrature roundoff.
+    to quadrature roundoff.  wL = 0 (no interior) is refused.
     """
     return _RelZone(n_sq, upsilon, wL).residual()
 

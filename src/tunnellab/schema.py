@@ -128,14 +128,14 @@ def _work(name: str, config: dict, sweep: Sweep | None = None) -> float:
 def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
     """Parse a JSON scenario configuration in strict mode.
 
-    Recognized top-level keys: scenario, config, sweep.  Unknown keys
-    anywhere are rejected; parse errors carry line/column positions, and a
+    Recognized top-level keys: scenario, config, sweep.  Unknown or repeated
+    keys anywhere are rejected; parse errors carry line/column positions, and a
     document nested too deeply to parse is a ConfigError too.  Every
     value is checked against the schema and stored as its key's type, and the
     work estimate is checked before anything is built.
     """
     try:
-        raw = json.loads(text) if text.strip() else {}
+        raw = json.loads(text, object_pairs_hook=_unique_keys) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -187,6 +187,16 @@ def parse_config(text: str, scenario: str | None = None) -> ScenarioSpec:
 
     _work(name, config, sweep)
     return ScenarioSpec(name=name, config=config, sweep=sweep)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it repeats (json keeps the last)."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 _WL_MAX = 1e2   # the largest decade of wL at which every scenario runs without overflow

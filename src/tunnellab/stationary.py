@@ -410,13 +410,8 @@ def kg_scatter_coeffs(k, cfg: PhysicalConfig) -> ScatterCoeffs:
     the barrier-scale normalizer w^2 where the continuity solution has
     k^2 + rho^2 = V0 (2E - V0).
     """
-    return _kg_solution(k, cfg)[1]
-
-
-def _kg_solution(k, cfg: PhysicalConfig):
-    """(rho, coefficients) of :func:`kg_scatter_coeffs`: the rate its interior field decays at."""
     rho = evanescent_rate(k, cfg)
     if np.any(rho == 0.0):
         raise ZoneError("exact coefficients are singular at the zone edge rho = 0")
     parts = _evanescent_parts(k, rho, rho * cfg.L, k * k - rho * rho)
-    return rho, _evanescent_coeffs(k, rho, cfg.L, k * k + rho * rho, parts)
+    return _evanescent_coeffs(k, rho, cfg.L, k * k + rho * rho, parts)

@@ -5,25 +5,20 @@ and stationary-phase peak predictors.
 Geometry: one-sided incidence with the barrier on [0, L]; region I is x <= 0
 (incident + reflected), region II is 0 <= x <= L (intra-barrier pair), region
 III is x >= L (transmitted).  All propagation is spectral quadrature of
-stationary solutions over the clipped momentum window; there is no PDE
-time-stepping anywhere.
+stationary solutions over the momentum window clipped to the zone of k0; there
+is no PDE time-stepping anywhere.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    GaussianSpectrum,
-    PhysicalConfig,
-    _numeric,
-    momentum_window,
-)
-from .stationary import _above_momentum, _single_peak_lines, _tunnel_parts, above_barrier_coeffs
+from .core import GaussianSpectrum, PhysicalConfig, ZoneError, _numeric
+from .stationary import _above_momentum, _single_peak_lines, above_barrier_coeffs, tunnel_amplitude_nr
 
 __all__ = [
     "SpatialGrid",
@@ -254,11 +249,25 @@ def _packet(k: np.ndarray, times: np.ndarray, cfg: PhysicalConfig) -> np.ndarray
 
 
 def _times(t) -> tuple[np.ndarray, bool]:
-    """The times of a propagation call as a 1-d array, and whether t was one number."""
+    """The times of a propagation call as a finite 1-d array, and whether t was one number."""
     times = np.array(t, dtype=float, ndmin=1)
     if times.ndim != 1:
         raise ValueError("t must be a number or a sequence of numbers")
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
     return times, np.ndim(t) == 0
+
+
+def _window(cfg: PhysicalConfig) -> tuple[float, float]:
+    """The momentum window k0 +- 8/a (Gaussian mass outside it below 1e-13), clipped to the
+    zone of k0: (w, inf) for k0 >= w, else (0, w), each edge kept out by a relative 1e-12."""
+    w, half = cfg.w, 8.0 / cfg.a
+    lo, hi = cfg.k0 - half, cfg.k0 + half
+    lo, hi = (max(lo, w * (1.0 + 1e-12)), hi) if cfg.k0 >= w else (
+        max(lo, 1e-12 * w), min(hi, w * (1.0 - 1e-12)))
+    if not lo < hi:
+        raise ZoneError(f"the momentum window k0 +- 8/a is empty in the zone of k0 (w = {w:g})")
+    return lo, hi
 
 
 def _fields(grid: SpatialGrid, times: np.ndarray, single: bool, tag: str, values,
@@ -274,13 +283,14 @@ def _fields(grid: SpatialGrid, times: np.ndarray, single: bool, tag: str, values
 def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig) -> dict:
     """Propagate scattered components, {tag: grid}, by quadrature over the momentum window.
 
-    The window is k0 +- 8/a clipped to the above-barrier zone (w, inf).  The
-    incident, reflected and transmitted components integrate over k; the
-    intra-barrier pair oscillates as e^{+-iqx} and integrates over
-    q = sqrt(k^2 - w^2) with dk = (q/k) dq, which also cancels the 1/q growth
-    of its coefficients at the zone edge.  The trapezoidal grid is refined by
-    doubling until the field changes by less than 1e-6 anywhere, or up to
-    16385 nodes (the field then says it did not converge).
+    The window is k0 +- 8/a clipped to the zone of k0 (_window), with the amplitudes
+    of above_barrier_coeffs above the barrier and of tunnel_amplitude_nr below it.
+    The incident, reflected and transmitted components integrate over k; above the
+    barrier the intra-barrier pair oscillates as e^{+-iqx} and integrates over
+    q = sqrt(k^2 - w^2) with dk = (q/k) dq, which also cancels the 1/q growth of its
+    coefficients at the zone edge (a tunneling packet has no such pair: ZoneError).
+    The trapezoidal grid is refined by doubling until the field changes by less than
+    1e-6 anywhere, or up to 16385 nodes (the field then says it did not converge).
 
     `t` is one time (a WaveField per tag) or a sequence of times (a list per
     tag).  Each momentum variable is one quadrature of its components at all
@@ -297,12 +307,15 @@ def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig) 
                     else free_gaussian(grid.x, tt, cfg) for tt in times.tolist()])
                 for tag, grid in grids.items()}
     w = cfg.w
-    lo, hi = momentum_window(cfg, lower=w * (1.0 + 1e-12))
     k_tags = [tag for tag in grids if tag in ("incident", "reflected", "transmitted")]
     q_tags = [tag for tag in grids if tag in ("alpha", "beta")]
+    if q_tags and cfg.k0 < w:
+        raise ZoneError(f"alpha and beta oscillate only above the barrier, k0 >= w = {w:g}")
+    lo, hi = _window(cfg)
+    coeffs_of = above_barrier_coeffs if cfg.k0 >= w else tunnel_amplitude_nr
 
     def k_level(k):
-        coeffs = above_barrier_coeffs(k, cfg) if k_tags != ["incident"] else None
+        coeffs = coeffs_of(k, cfg) if k_tags != ["incident"] else None
         return k, [1.0 if tag == "incident" else coeffs.R if tag == "reflected" else coeffs.T
                    for tag in k_tags]
 
@@ -313,8 +326,8 @@ def propagate_components(grids: dict[str, SpatialGrid], t, cfg: PhysicalConfig) 
                    for tag in q_tags]
 
     found = dict.fromkeys(grids)
-    for tags, level, window in ((k_tags, k_level, (lo, hi)), (q_tags, q_level, (
-            math.sqrt((lo - w) * (lo + w)), math.sqrt((hi - w) * (hi + w))))):
+    q_window = tuple(math.sqrt((k - w) * (k + w)) for k in (lo, hi)) if q_tags else None
+    for tags, level, window in ((k_tags, k_level, (lo, hi)), (q_tags, q_level, q_window)):
         if tags:
             parts = [(grids[tag].x, grids[tag].spacing, -1.0 if tag in ("reflected", "beta")
                       else 1.0) for tag in tags]     # e^{-ikx}, e^{-iqx}
@@ -332,25 +345,18 @@ def propagate_component(tag: str, grid: SpatialGrid, t,
 
 def propagate_tunnel_transmitted(grid: SpatialGrid, t,
                                  cfg: PhysicalConfig) -> WaveField | list[WaveField]:
-    """Transmitted packet of the tunneling geometry (barrier on [-L/2, L/2]).
+    """The transmitted component on a grid in the frame of the barrier on [-L/2, L/2].
 
-    Quadrature of |T| e^{i theta} e^{ik(x - L/2)} over the momentum window
-    clipped to the tunneling zone (0, w), refined as in `propagate_components`;
-    `t` is one time or a sequence of times, as there.
+    A view of propagate_component("transmitted", ...) on the grid moved by
+    +L/2, with x0 unmoved, returned on the caller's grid.  Only the barrier
+    moves, so the field is the exact transmitted field of the centred barrier
+    at x + L/2, not at x (docs/DECISIONS.md, D25).
     """
     half = 0.5 * cfg.L
-    if grid.x_min < half - _REGION_TOL * max(1.0, abs(grid.x_max)):
-        raise ValueError("transmitted grid must lie beyond the exit face x = L/2")
-    times, single = _times(t)
-    lo, hi = momentum_window(cfg, lower=1e-12 * cfg.w, upper=cfg.w * (1.0 - 1e-12))
-
-    def level(k):
-        # T e^{ikL} = c e^{i theta} / cosh x, 1 / cosh x = 2 e^{-x} / (1 + e^{-2x})
-        _, _, e, c, theta = _tunnel_parts(k, cfg.w, cfg.L, "tunneling amplitudes need")
-        return k, [(2.0 * e / (1.0 + e * e) * c) * np.exp(1j * theta)]
-
-    (result,) = _spectral_field(level, [(grid.x - half, grid.spacing, 1.0)], times, lo, hi, cfg)
-    return _fields(grid, times, single, "transmitted-tunnel", *result)
+    fields = propagate_component("transmitted", SpatialGrid(grid.x_min + half, grid.x_max + half,
+                                                            grid.n_points), t, cfg)
+    view = functools.partial(replace, grid=grid, component_tag="transmitted-tunnel")
+    return view(fields) if isinstance(fields, WaveField) else [view(f) for f in fields]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from tunnellab.core import (
     ZoneError,
     _in_rel_zone,
     evanescent_rate,
-    momentum_window,
     rho_n_squared,
 )
 
@@ -169,17 +168,6 @@ class TestSpectrum:
         prefactor = (square / (2.0 * math.pi)) ** 0.25
         assert s.amplitude(1.0) == prefactor
         assert s.amplitude(3.0) == prefactor * np.exp(-square)
-
-
-class TestTraversalAndWindow:
-    def test_momentum_window_clip(self):
-        cfg = nr_cfg(k0=1.5, a=2.0)
-        lo, hi = momentum_window(cfg)
-        assert (lo, hi) == (1.5 - 4.0, 1.5 + 4.0)
-        lo, hi = momentum_window(cfg, lower=0.0)
-        assert lo == 0.0
-        with pytest.raises(ZoneError):
-            momentum_window(cfg, lower=hi + 1.0)
 
 
 _MODULES = ["tunnellab"] + [f"tunnellab.{info.name}"

@@ -99,6 +99,19 @@ class TestParseConfig:
         with pytest.raises(ScenarioError, match="unknown scenario"):
             parse_config("{}", scenario="frobnicate")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"scenario": "table1", "scenario": "nr-phase"}', "scenario"),
+        ('{"config": {"k0a": 1.0, "k0a": 2.0}}', "k0a"),
+        ('{"config": {}, "config": {"k0a": 2.0}}', "config"),
+        ('{"sweep": {"parameter": "n_sq", "min": 1, "max": 2, "min": 1.5, "steps": 5}}', "min"),
+    ], ids=["top-level", "config", "config-object", "sweep"])
+    def test_repeated_key_refused(self, text, key):
+        # json keeps the last value: these ran nr-phase, and table1 at k0a = 2.0
+        scenario = None if "scenario" in text else "relativistic-times" if "sweep" in text \
+            else "table1"
+        with pytest.raises(ConfigError, match=f"repeats the key '{key}'"):
+            parse_config(text, scenario=scenario)
+
 
 class TestTable1WorkBound:
     """table1 refuses an oversized grid before building anything.
@@ -565,18 +578,17 @@ class TestBatchedRunners:
 
 @pytest.fixture
 def solution_calls(monkeypatch):
-    """Counts the scaled calls of observables and stationary, the continuity solutions
-    (stationary._kg_solution, behind kg_scatter_coeffs) and the evanescent_rate calls."""
-    calls = {"scaled": 0, "_kg_solution": 0, "evanescent_rate": 0}
-    for module, name in ((observables, "scaled"), (stationary, "scaled"),
-                         (observables, "_kg_solution"), (observables, "evanescent_rate"),
-                         (stationary, "evanescent_rate")):
-        def counted(*args, _original=getattr(module, name, None), _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    """Counts the scaled and _evanescent_parts calls of observables and stationary, and the
+    evanescent_rate calls (the rate kg_scatter_coeffs forms its interior with)."""
+    calls = {"scaled": 0, "_evanescent_parts": 0, "evanescent_rate": 0}
+    for module in (observables, stationary):
+        for name in calls:
+            def counted(*args, _original=getattr(module, name, None), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        # stationary imports no scaled, observables no evanescent_rate
-        monkeypatch.setattr(module, name, counted, raising=False)
+            # stationary imports no scaled, observables no evanescent_rate
+            monkeypatch.setattr(module, name, counted, raising=False)
     return calls
 
 
@@ -586,17 +598,17 @@ class TestOneRelativisticSolution:
     def test_default_run_builds_each_part_once(self, solution_calls):
         (table,) = run_scenario(parse_config("{}", scenario="relativistic-times"))
         assert len(table.rows) == 5 * 101
-        # per upsilon one scaled call, in the zone solution that T_sq and phase also
-        # read; one continuity solution for each of the four upsilon > 0, whose rho the
-        # identity residual reads again (it formed rho a second time: 8 calls)
-        assert solution_calls == {"scaled": 5, "_kg_solution": 4, "evanescent_rate": 4}
+        # per upsilon one scaled call and one set of evanescent parts, which T_sq and phase
+        # read and the continuity solution of each of the four upsilon > 0 reads again; no
+        # second rho (evanescent_rate) and no second set of parts (D25)
+        assert solution_calls == {"scaled": 5, "_evanescent_parts": 5, "evanescent_rate": 0}
 
     def test_views_share_the_zone_parts(self, solution_calls):
         zone = observables._RelZone(np.linspace(1.6, 3.4, 7), 5.0, 2.0 * math.pi)
         for _ in range(2):
-            zone.phase_time, zone.dwell(continuity=True), zone.self_interference()
-            zone.residual()
-        assert solution_calls == {"scaled": 1, "_kg_solution": 1, "evanescent_rate": 1}
+            zone.transmission(), zone.phase_time, zone.dwell(continuity=True)
+            zone.self_interference(), zone.residual()
+        assert solution_calls == {"scaled": 1, "_evanescent_parts": 1, "evanescent_rate": 0}
 
 
 class TestEmission:
@@ -722,6 +734,12 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"config": {"nope": 1}}')
         assert main(["run", "table1", "--config", str(bad)]) == 2
+
+    def test_repeated_key_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"config": {"k0a": 1.0, "k0a": 2.0}}')
+        assert main(["run", "table1", "--config", str(bad)]) == 2
+        assert "repeats the key 'k0a'" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

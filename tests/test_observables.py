@@ -643,6 +643,23 @@ class TestRelativisticDomain:
         assert rel_dwell_zone_edge(5.0, "lower", 0.0) == (1.5, 0.25)
         assert math.isfinite(rel_phase_time(0.5, 1.0, 0.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_thin_barrier_self_interference_is_its_limit(self):
+        # -Im R / (k L) is 0/0 at wL = 0; its limit is (n^2 + rho_n^2) / (2 n^2)
+        assert rel_self_interference(2.5, 5.0, 0.0) == pytest.approx(0.5198039027185570, rel=1e-15)
+        for n_sq, upsilon in ((2.5, 5.0), (0.5, 1.0), (1.6, 5.0), (5.5, 10.0)):
+            limit = (n_sq + rho_n_squared(n_sq, upsilon)) / (2.0 * n_sq)
+            assert rel_self_interference(n_sq, upsilon, 0.0) == limit
+            assert rel_self_interference(n_sq, upsilon, 1e-9) == pytest.approx(limit, rel=1e-13)
+        ns = np.array([1.6, 2.5, 3.4])
+        assert np.array_equal(rel_self_interference(ns, 5.0, 0.0),
+                              [rel_self_interference(n, 5.0, 0.0) for n in ns])
+
+    def test_thin_barrier_residual_refused(self):
+        # the identity's interior quadrature has no interior at wL = 0
+        with pytest.raises(ValueError, match="wL > 0"):
+            rel_variational_residual(2.5, 5.0, 0.0)
+
 
 def interior_dwell_quadrature(n_sq, upsilon, wL, scaled):
     """(m/k) int |phi_2|^2 / tau by 160-node Gauss-Legendre over the interior

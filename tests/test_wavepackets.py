@@ -482,6 +482,21 @@ class TestTimeBatches:
             levels |= {f.n_k for f in batch}
         assert levels == {1025, 2049, 4097}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda g, t, cfg: propagate_components({"reflected": g}, t, cfg),
+        lambda g, t, cfg: propagate_component("reflected", g, t, cfg),
+        lambda g, t, cfg: propagate_tunnel_transmitted(SpatialGrid(cfg.L, 10.0, 11), t,
+                                                       dataclasses.replace(cfg, k0=0.5 * cfg.w)),
+        lambda g, t, cfg: multipeak_partial_sum_field("reflected", 2, g, t, cfg),
+    ], ids=["components", "component", "tunnel", "series"])
+    def test_nonfinite_times_refused(self, call, bad):
+        # a NaN or infinite time refined every row to 16385 nodes and returned NaN
+        cfg, grid = scatter_cfg(wa=500.0), SpatialGrid(-10.0, 0.0, 11)
+        for t in (bad, [0.0, bad], -bad):
+            with pytest.raises(ValueError, match="times must be finite"):
+                call(grid, t, cfg)
+
     def test_work_is_shared_across_times(self, monkeypatch):
         # one call over reflected and transmitted: per refinement level one
         # coefficient call for both, and one FFT and one inverse FFT of each
@@ -684,3 +699,104 @@ class TestZoneEdgeInteriorPair:
             assert fld.converged, (tag, fld.n_k)
             ref = direct_spectral_sum(integrand * coef, qs, grid.x, sign)
             assert np.max(np.abs(fld.values - ref)) < 1e-6, tag
+
+
+def _gauss_legendre(lo, hi, n):
+    u, wu = np.polynomial.legendre.leggauss(n)
+    return lo + 0.5 * (hi - lo) * (u + 1.0), 0.5 * (hi - lo) * wu
+
+
+class TestTunnelingPacket:
+    """Below the barrier the packet integrates over (0, w) with tunnel_amplitude_nr (D25)."""
+
+    CFG = PhysicalConfig.tunneling(m=1.0, V0=2.0, L=0.5, a=8.0, k0=1.0, x0=-40.0)
+
+    def test_window_is_clipped_to_the_zone_of_k0(self):
+        above = PhysicalConfig(m=1.0, V0=0.5, L=1.0, a=2.0, k0=1.5)   # w = 1
+        assert wavepackets._window(above) == (1.0 + 1e-12, 1.5 + 4.0)
+        assert wavepackets._window(dataclasses.replace(above, a=100.0)) == (1.5 - 0.08, 1.5 + 0.08)
+        below = dataclasses.replace(above, k0=0.6)
+        assert wavepackets._window(below) == (1e-12, 1.0 - 1e-12)
+        assert wavepackets._window(dataclasses.replace(below, a=100.0)) == (0.6 - 0.08, 0.6 + 0.08)
+        for k0 in (1.0 - 1e-13, 1e-13):   # k0 +- 8/a lies outside the open zone
+            with pytest.raises(ZoneError, match="empty"):
+                wavepackets._window(dataclasses.replace(below, k0=k0, a=1e14))
+
+    def test_transmitted_field_is_the_dense_sum(self):
+        # an independent trapezoid of g T e^{i(kx - Et - k x0)} / sqrt(2 pi) on 40001
+        # nodes of [0, w]; the tunnel view on the grid L/2 lower reads the same points,
+        # so it is the exact field at x + L/2 (the offset that D25 records)
+        cfg, t = self.CFG, 70.0
+        grid = SpatialGrid(cfg.L, 80.0, 121)
+        ks = np.linspace(0.0, cfg.w, 40001)[1:-1]   # the end nodes carry T = 0 and g(w) < 1e-6
+        amp = ((ks[1] - ks[0]) / math.sqrt(2.0 * math.pi) * GaussianSpectrum(cfg.a, cfg.k0).amplitude(ks)
+               * tunnel_amplitude_nr(ks, cfg).T * np.exp(-1j * (ks * ks / 2.0 * t + ks * cfg.x0)))
+        exact = sum(np.exp(1j * np.outer(grid.x, ks[s:s + 4000])) @ amp[s:s + 4000]
+                    for s in range(0, ks.size, 4000))
+        peak = np.max(np.abs(exact))
+        field = propagate_component("transmitted", grid, t, cfg)
+        view = propagate_tunnel_transmitted(SpatialGrid(0.5 * cfg.L, 80.0 - 0.5 * cfg.L, 121),
+                                            t, cfg)
+        assert field.converged and view.converged
+        assert np.max(np.abs(field.values - exact)) < 1e-9 * peak
+        assert np.max(np.abs(view.values - exact)) < 1e-9 * peak
+
+    def test_reflected_and_transmitted_norms(self):
+        # by t = 250 all of the (0, w) spectrum above k = 0.16 has left the barrier
+        cfg, t = self.CFG, 250.0
+        reflected = propagate_component("reflected", SpatialGrid(-520.0, 0.0, 2001), t, cfg)
+        transmitted = propagate_component("transmitted", SpatialGrid(cfg.L, 520.0, 2001), t, cfg)
+        ks, wk = _gauss_legendre(0.0, cfg.w, 200)
+        g2 = GaussianSpectrum(cfg.a, cfg.k0).amplitude(ks) ** 2
+        T2 = np.abs(tunnel_amplitude_nr(ks, cfg).T) ** 2
+        assert field_norm(transmitted) == pytest.approx(np.sum(wk * g2 * T2), abs=1e-9)
+        assert field_norm(reflected) + field_norm(transmitted) == pytest.approx(
+            np.sum(wk * g2), abs=1e-9)
+
+    @pytest.mark.parametrize("tag", ["alpha", "beta"])
+    def test_interior_pair_refused(self, tag):
+        with pytest.raises(ZoneError, match="above the barrier"):
+            propagate_component(tag, SpatialGrid(0.0, self.CFG.L, 11), 1.0, self.CFG)
+
+
+class TestPacketDwell:
+    """The barrier's time-integrated occupancy is the spectral average of Buttiker's dwell.
+
+    int dt e^{-i(E - E')t} = 2 pi (m/k) delta(k - k'), so
+    int dt int_0^L |psi_alpha + psi_beta|^2 = int g^2 t_D dk over the packet's window, with
+    t_D = (m/k) int_0^L |alpha e^{iqx} + beta e^{-iqx}|^2 (M. Buttiker, Phys. Rev. B 27,
+    6178 (1983)); no stationary-phase step enters.  Where the window is cut at k = w and g(w)
+    is not small, the occupancy falls off only as P(t) = c2/t^2 + c3/t^3 + c4/t^4 + ...: the
+    interior state phi_w at q -> 0 is finite, and c2 = int_0^L |(m/w) g(w) phi_w|^2 / (2 pi).
+    The times beyond [-T, T] add 2 c2/T + 2 c4/(3 T^3), the odd orders cancelling, where
+    c4/T^4 is the even part of P(+-T) less c2/T^2.
+    """
+
+    @staticmethod
+    def _interior(q, cfg):
+        """int_0^L |alpha e^{iqx} + beta e^{-iqx}|^2 dx at each q, by Gauss-Legendre."""
+        x, wx = _gauss_legendre(0.0, cfg.L, 40)
+        c = above_barrier_coeffs(np.sqrt(q * q + cfg.w ** 2), cfg)
+        field = (c.alpha_coef[:, None] * np.exp(1j * q[:, None] * x)
+                 + c.beta_coef[:, None] * np.exp(-1j * q[:, None] * x))
+        return np.abs(field) ** 2 @ wx
+
+    @pytest.mark.parametrize("cfg, T", [
+        (PhysicalConfig(m=1.0, V0=0.5, L=2.0, a=10.0, k0=1.5, x0=-40.0), 80.0),
+        (PhysicalConfig(m=1.0, V0=12.5, L=1.0, a=1.0, k0=5.25, x0=-10.0), 20.0),   # D2
+    ], ids=["above-barrier", "zone-edge"])
+    def test_occupancy_is_the_spectral_dwell(self, cfg, T):
+        w, g = cfg.w, GaussianSpectrum(cfg.a, cfg.k0).amplitude
+        # over the q window of the packet quadrature
+        k_lo, k_hi = max(cfg.k0 - 8.0 / cfg.a, w * (1.0 + 1e-12)), cfg.k0 + 8.0 / cfg.a
+        q, wq = _gauss_legendre(*(math.sqrt((k - w) * (k + w)) for k in (k_lo, k_hi)), 160)
+        k = np.sqrt(q * q + w * w)
+        spectral = np.sum(wq * (q / k) * g(k) ** 2 * (cfg.m / k) * self._interior(q, cfg))
+
+        grid, times = SpatialGrid(0.0, cfg.L, 201), np.linspace(-T, T, round(20.0 * T) + 1)
+        fields = propagate_components({"alpha": grid, "beta": grid}, times, cfg)
+        P = np.array([trapezoid_norm(np.abs(a.values + b.values) ** 2, grid.x)
+                      for a, b in zip(fields["alpha"], fields["beta"])])
+        c2 = (cfg.m / w * g(w)) ** 2 / (2.0 * math.pi) * self._interior(np.array([1e-5]), cfg)[0]
+        tail = 2.0 * c2 / T + (2.0 / 3.0) * (0.5 * (P[0] + P[-1]) * T - c2 / T)
+        assert np.trapezoid(P, times) + tail == pytest.approx(spectral, rel=1e-5)
